@@ -141,9 +141,14 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     ks = _parse_range(args.k, "k", 1)
-    ns = [int(x) for x in args.n_values.split(",")]
+    try:
+        ns = [int(x) for x in args.n_values.split(",")]
+    except ValueError:
+        raise SystemExit2(f"invalid bench n values: {args.n_values!r}")
     if any(n < 0 for n in ns):
         raise SystemExit2("bench n values must be nonnegative")
+    if args.repeat < 1:
+        raise SystemExit2(f"--repeat must be at least 1, got {args.repeat}")
     out, close = _open_out(args.output)
     try:
         w = csv.writer(out)

@@ -14,6 +14,7 @@ means a bug, not bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .octonion import Octonion
@@ -59,11 +60,12 @@ def oct_seq_conj(family: Family, k: int, n: int) -> Octonion:
 
 
 def project_rational(x: Octonion) -> Octonion:
-    """Drop an all-rational Octonion over QuadElem down to integer
-    coordinates, failing loudly on any leftover L-coordinate."""
+    """Drop an all-rational Octonion over QuadElem (or over Fraction)
+    down to int coordinates, failing loudly on any leftover L-coordinate
+    or fractional part."""
 
-    def down(c: QuadElem):
-        v = c.rational()
+    def down(c):
+        v = c.rational() if isinstance(c, QuadElem) else Fraction(c)
         if v.denominator != 1:
             raise InternalInconsistencyError(f"non-integer coordinate {v}")
         return int(v)

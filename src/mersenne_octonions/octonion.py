@@ -13,13 +13,19 @@ table on all 64 basis pairs.
 
 Scalars may be int, Fraction, or QuadElem; any ring with exact +, -, *
 works, since octonion multiplication is the bilinear extension of the
-basis table.
+basis table.  That extension is compiled from the sign and index arrays
+on the first product taken with a table: eight straight-line sums of
+products of coordinates, with no per-term table lookups.  The compiled
+function is keyed by the active table, so the mutation test hook's
+corrupted table gets (and exercises) its own.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, neg, sub
 
 # Basis products e_i * e_j as (sign, index) meaning sign * e_index.
 _TABLE = (
@@ -36,22 +42,20 @@ _TABLE = (
 SIGN = tuple(tuple(s for s, _ in row) for row in _TABLE)
 INDEX = tuple(tuple(t for _, t in row) for row in _TABLE)
 
-# Active table indirection exists solely for the mutation test hook.
+# The table in force.  Only the mutation test hook ever swaps it, and
+# run_grid hands it to every pool worker it starts.
 _active_table = [(SIGN, INDEX)]
 
-# Caches whose contents depend on the active table register a clearer here
-# so the mutation hook can invalidate them when the table is swapped.
-_table_cache_clearers: list = []
+
+def active_basis_table() -> tuple:
+    """The (sign, index) basis table products currently use."""
+    return _active_table[-1]
 
 
-def register_table_cache(clear) -> None:
-    """Register a zero-argument cache invalidator tied to the basis table."""
-    _table_cache_clearers.append(clear)
-
-
-def _clear_table_caches() -> None:
-    for clear in _table_cache_clearers:
-        clear()
+def use_basis_table(table: tuple) -> None:
+    """Make table the active one for the rest of this process (the
+    pool initializer that carries the parent's table into a worker)."""
+    _active_table[:] = [table]
 
 
 @contextmanager
@@ -64,12 +68,43 @@ def corrupted_basis_table(i: int = 1, j: int = 2):
     sign = [list(row) for row in SIGN]
     sign[i][j] = -sign[i][j]
     _active_table.append((tuple(tuple(r) for r in sign), INDEX))
-    _clear_table_caches()
     try:
         yield
     finally:
         _active_table.pop()
-        _clear_table_caches()
+
+
+@lru_cache(maxsize=8)
+def _compile_product(sign: tuple, index: tuple):
+    """The bilinear extension of one basis table as a straight-line
+    function of two coordinate tuples: one fixed sum per output
+    coordinate, generated from the table so that it stays the only
+    copy of the basis products."""
+    terms = [[] for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            terms[index[i][j]].append((sign[i][j], f"a{i} * b{j}"))
+    sums = []
+    for row in terms:
+        # no leading unary +: not every scalar ring defines __pos__
+        expr = ("-" if row[0][0] < 0 else "") + row[0][1]
+        expr += "".join((" - " if s < 0 else " + ") + p for s, p in row[1:])
+        sums.append(f"        {expr},")
+    source = "\n".join([
+        "def product(a, b):",
+        "    a0, a1, a2, a3, a4, a5, a6, a7 = a",
+        "    b0, b1, b2, b3, b4, b5, b6, b7 = b",
+        "    return (",
+        *sums,
+        "    )",
+    ])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["product"]
+
+
+# (table, compiled product) for the table last multiplied with
+_product = [None, None]
 
 
 @dataclass(frozen=True)
@@ -96,41 +131,32 @@ class Octonion:
     def __add__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(tuple(x + y for x, y in zip(self.coords, other.coords)))
+        return Octonion(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(tuple(x - y for x, y in zip(self.coords, other.coords)))
+        return Octonion(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self):
-        return Octonion(tuple(-x for x in self.coords))
+        return Octonion(tuple(map(neg, self.coords)))
 
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        sign, index = _active_table[-1]
-        a, b = self.coords, other.coords
-        acc = [None] * 8
-        for i in range(8):
-            ai = a[i]
-            si, ti = sign[i], index[i]
-            for j in range(8):
-                p = ai * b[j]
-                if si[j] < 0:
-                    p = -p
-                t = ti[j]
-                acc[t] = p if acc[t] is None else acc[t] + p
-        return Octonion(tuple(acc))
+        table = _active_table[-1]
+        if _product[0] is not table:
+            _product[:] = table, _compile_product(*table)
+        return Octonion(_product[1](self.coords, other.coords))
 
     def scale(self, s) -> "Octonion":
         """Multiply every coordinate by the scalar s."""
-        return Octonion(tuple(x * s for x in self.coords))
+        return Octonion(tuple([x * s for x in self.coords]))
 
     def conj(self) -> "Octonion":
         """Negate the seven imaginary coordinates."""
         c = self.coords
-        return Octonion((c[0],) + tuple(-x for x in c[1:]))
+        return Octonion((c[0], *map(neg, c[1:])))
 
     def norm_sq(self):
         """Squared norm: the sum of squared coordinates.
@@ -141,10 +167,10 @@ class Octonion:
         return sum(x * x for x in self.coords)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
+        return self.coords.count(0) == 8
 
     def map_coords(self, f) -> "Octonion":
-        return Octonion(tuple(f(x) for x in self.coords))
+        return Octonion(tuple(map(f, self.coords)))
 
     def __str__(self):
         return "(" + ", ".join(str(x) for x in self.coords) + ")"

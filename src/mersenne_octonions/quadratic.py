@@ -8,6 +8,11 @@ discriminant 9k^2 - 8 equals 1 and the ring splits with zero divisors
 (L - 1)(L - 2) = 0; for that reason no general division is provided,
 only the specific inversions the closed forms need (by the root
 difference, via the discriminant, and by rational scalars).
+
+Coordinates are exact rationals kept in their cheapest form: a plain
+int whenever the value is integral, a Fraction only when it is not.
+The closed forms live almost entirely in Z[L], so most operations are
+machine-fast int arithmetic with no gcd.
 """
 
 from __future__ import annotations
@@ -34,26 +39,48 @@ def discriminant(k: int) -> int:
     return 9 * k * k - 8
 
 
-@dataclass(frozen=True, eq=False)
+def _coord(x):
+    """The exact rational x as an int if it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+_setattr = object.__setattr__
+
+
+def _new(k: int, a, b) -> "QuadElem":
+    """Build an element of a ring already known to be valid, skipping
+    the k check of __init__ (the arithmetic's constructor)."""
+    e = object.__new__(QuadElem)
+    _setattr(e, "k", k)
+    _setattr(e, "a", _coord(a))
+    _setattr(e, "b", _coord(b))
+    return e
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class QuadElem:
     """Element a + b*L of Q[L]/(L^2 - 3k*L + 2), stored exactly.
 
     Immutable; all operations return new elements.  Mixed-k arithmetic
     raises RingMismatchError since it silently corrupts results
-    otherwise.  int and Fraction operands are coerced to constants of
-    the same ring; a rational-valued element (b = 0) compares and
-    hashes equal to its rational value.
+    otherwise.  int and Fraction operands act as constants of the same
+    ring; a rational-valued element (b = 0) compares and hashes equal
+    to its rational value.  Each coordinate is an int when integral and
+    a Fraction otherwise.
     """
 
     k: int
-    a: Fraction
-    b: Fraction
+    a: int | Fraction
+    b: int | Fraction
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        _setattr(self, "a", _coord(self.a))
+        _setattr(self, "b", _coord(self.b))
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
@@ -78,14 +105,14 @@ class QuadElem:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.k, Fraction(other), Fraction(0))
+            return _new(self.k, other, 0)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadElem(self.k, self.a + o.a, self.b + o.b)
+        return _new(self.k, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -93,7 +120,7 @@ class QuadElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadElem(self.k, self.a - o.a, self.b - o.b)
+        return _new(self.k, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -102,7 +129,7 @@ class QuadElem:
         return o - self
 
     def __neg__(self):
-        return QuadElem(self.k, -self.a, -self.b)
+        return _new(self.k, -self.a, -self.b)
 
     def __mul__(self, other):
         # (a1 + b1 L)(a2 + b2 L) with L^2 reduced to 3k L - 2.
@@ -110,7 +137,7 @@ class QuadElem:
         if o is NotImplemented:
             return NotImplemented
         bb = self.b * o.b
-        return QuadElem(
+        return _new(
             self.k,
             self.a * o.a - 2 * bb,
             self.a * o.b + self.b * o.a + 3 * self.k * bb,
@@ -133,17 +160,18 @@ class QuadElem:
     def conj(self) -> "QuadElem":
         """Swap the two roots: L -> 3k - L.  An involution fixing
         exactly the rational elements."""
-        return QuadElem(self.k, self.a + 3 * self.k * self.b, -self.b)
+        return _new(self.k, self.a + 3 * self.k * self.b, -self.b)
 
     @property
     def is_rational(self) -> bool:
         return self.b == 0
 
     def rational(self) -> Fraction:
-        """Rational value of an element with zero L-coordinate."""
+        """Rational value, as a Fraction, of an element with zero
+        L-coordinate."""
         if self.b != 0:
             raise NonRationalError(self)
-        return self.a
+        return Fraction(self.a)
 
     def __str__(self):
         return f"({self.a} + {self.b}*L | k={self.k})"
@@ -151,20 +179,20 @@ class QuadElem:
 
 def lam(k: int) -> QuadElem:
     """The class of L, playing the larger characteristic root."""
-    return QuadElem(k, Fraction(0), Fraction(1))
+    return QuadElem(k, 0, 1)
 
 
 def one(k: int) -> QuadElem:
-    return QuadElem(k, Fraction(1), Fraction(0))
+    return QuadElem(k, 1, 0)
 
 
 def zero(k: int) -> QuadElem:
-    return QuadElem(k, Fraction(0), Fraction(0))
+    return QuadElem(k, 0, 0)
 
 
 def root_diff(k: int) -> QuadElem:
     """lam1 - lam2 = 2L - 3k; its square is the rational 9k^2 - 8."""
-    return QuadElem(k, Fraction(-3 * k), Fraction(2))
+    return QuadElem(k, -3 * k, 2)
 
 
 def div_by_root_diff(x: QuadElem) -> QuadElem:
@@ -175,4 +203,4 @@ def div_by_root_diff(x: QuadElem) -> QuadElem:
     """
     d = discriminant(x.k)
     y = x * root_diff(x.k)
-    return QuadElem(x.k, y.a / d, y.b / d)
+    return _new(x.k, Fraction(y.a, d), Fraction(y.b, d))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .octonion import Octonion, cd_mul
+from .octonion import Octonion, active_basis_table, cd_mul, use_basis_table
 from .oct_sequences import (
     alpha_beta,
     alpha_beta_evaluated_k1,
@@ -87,7 +87,7 @@ class CheckResult:
     def to_dict(self) -> dict:
         residual = None
         if self.residual is not None:
-            residual = [str(Fraction(c)) for c in self.residual.coords]
+            residual = [str(c) for c in self.residual.coords]
         return {
             "identity": self.identity,
             "family": self.family.value,
@@ -136,7 +136,11 @@ def _products(k: int, specialized: bool):
 
 # --- Catalan / Cassini ------------------------------------------------
 
-@lru_cache(maxsize=None)
+# The right-side core caches are bounded so that a long-lived process
+# stays small; each bound holds every key of the default grid (584
+# Catalan, 24 Cassini, 250 d'Ocagne and 108 Vajda cores).
+
+@lru_cache(maxsize=2048)
 def _catalan_core(family: Family, k: int, r: int, ordering: str,
                   specialized: bool) -> Octonion:
     """Right side with the 2^(n-r) (general) or 2^n (specialized)
@@ -152,7 +156,7 @@ def _catalan_core(family: Family, k: int, r: int, ordering: str,
             f1, f2 = f2, f1
         core = ab.scale(f1) + ba.scale(f2)
         # a factor 2^r is folded back in by the caller via 2^(n-r)
-        return core.map_coords(lambda c: Fraction(c) * 2**r)
+        return project_rational(core.scale(2**r))
     p1 = _lam_pow(k, 2 * r)
     p2 = p1.conj()
     if ordering == "rl":
@@ -182,6 +186,28 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     return _result("catalan", family, params, lhs, rhs)
 
 
+@lru_cache(maxsize=128)
+def _cassini_core(family: Family, k: int, ordering: str,
+                  specialized: bool) -> Octonion:
+    """Right side with the 2^(n-1) prefactor stripped."""
+    ab, ba = _products(k, specialized)
+    if specialized:
+        x, y = (ab, ba) if ordering == "lr" else (ba, ab)
+        if family is Family.MERSENNE:
+            return y - x.scale(2)
+        return x.scale(2) - y
+    p1 = _lam_pow(k, 2)
+    p2 = p1.conj()
+    if ordering == "rl":
+        p1, p2 = p2, p1
+    if family is Family.MERSENNE:
+        core = ab.scale(2 - p1) + ba.scale(2 - p2)
+        core = core.scale(Fraction(1, discriminant(k)))
+    else:
+        core = ab.scale(p1 - 2) + ba.scale(p2 - 2)
+    return project_rational(core)
+
+
 def check_cassini(family: Family, k: int, n: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """The r=1 Catalan case, computed directly from the Cassini
@@ -198,32 +224,32 @@ def check_cassini(family: Family, k: int, n: int,
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     prev, nxt, mid = oct_seq(family, k, n - 1), oct_seq(family, k, n + 1), oct_seq(family, k, n)
     lhs = (nxt * prev if ordering == "lr" else prev * nxt) - mid * mid
-    ab, ba = _products(k, specialized)
+    rhs = _cassini_core(family, k, ordering, specialized).scale(2 ** (n - 1))
     note = ""
-    if specialized:
-        x, y = (ab, ba) if ordering == "lr" else (ba, ab)
-        if family is Family.MERSENNE:
-            core = y - x.scale(2)
-        else:
-            core = x.scale(2) - y
-            note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
-        rhs = core.scale(2 ** (n - 1))
-    else:
-        p1 = _lam_pow(k, 2)
-        p2 = p1.conj()
-        if ordering == "rl":
-            p1, p2 = p2, p1
-        if family is Family.MERSENNE:
-            core = ab.scale(2 - p1) + ba.scale(2 - p2)
-            core = core.scale(Fraction(1, discriminant(k)))
-        else:
-            core = ab.scale(p1 - 2) + ba.scale(p2 - 2)
-        rhs = project_rational(core).scale(2 ** (n - 1))
+    if specialized and family is Family.MERSENNE_LUCAS:
+        note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
     params = {"k": k, "n": n, "ordering": ordering, "specialized": specialized}
     return _result("cassini", family, params, lhs, rhs, note)
 
 
 # --- d'Ocagne ---------------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def _docagne_core(family: Family, k: int, d: int) -> Octonion:
+    """General right side with the factor 2^min(n, r) stripped; it
+    depends on d = n - r alone.  Since lam1 lam2 = 2, the scalars
+    lam1^r lam2^n and lam1^n lam2^r are 2^r lam2^d and 2^r lam1^d for
+    d >= 0, and 2^n lam1^-d and 2^n lam2^-d for d < 0."""
+    ab, ba = _ab_ba_quad(k)
+    p = _lam_pow(k, abs(d))
+    s_rn, s_nr = (p.conj(), p) if d >= 0 else (p, p.conj())
+    if family is Family.MERSENNE:
+        x = (ab.scale(s_rn) - ba.scale(s_nr)).map_coords(div_by_root_diff)
+    else:
+        rd = root_diff(k)
+        x = (ba.scale(s_nr) - ab.scale(s_rn)).map_coords(lambda q: q * rd)
+    return project_rational(x)
+
 
 def check_docagne(family: Family, k: int, n: int, r: int,
                   specialized: bool = False) -> CheckResult:
@@ -235,28 +261,21 @@ def check_docagne(family: Family, k: int, n: int, r: int,
         oct_seq(family, k, r) * oct_seq(family, k, n + 1)
         - oct_seq(family, k, r + 1) * oct_seq(family, k, n)
     )
-    ab, ba = _products(k, specialized)
     if specialized:
+        ab, ba = _ab_ba_k1()
         if family is Family.MERSENNE:
             rhs = ab.scale(2**r) - ba.scale(2**n)
         else:
             rhs = ba.scale(2**n) - ab.scale(2**r)
     else:
-        s_rn = _lam_pow(k, r) * _lam_pow(k, n).conj()
-        s_nr = _lam_pow(k, n) * _lam_pow(k, r).conj()
-        if family is Family.MERSENNE:
-            x = (ab.scale(s_rn) - ba.scale(s_nr)).map_coords(div_by_root_diff)
-        else:
-            rd = root_diff(k)
-            x = (ba.scale(s_nr) - ab.scale(s_rn)).map_coords(lambda q: q * rd)
-        rhs = project_rational(x)
+        rhs = _docagne_core(family, k, n - r).scale(2 ** min(n, r))
     params = {"k": k, "n": n, "r": r, "specialized": specialized}
     return _result("docagne", family, params, lhs, rhs)
 
 
 # --- Vajda ------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _vajda_core(family: Family, k: int, j: int, specialized: bool) -> Octonion:
     """Right side with the scalar factor 2^n * M[k,i] stripped."""
     ab, ba = _products(k, specialized)
@@ -620,7 +639,11 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     workers = _max_workers()
     if workers > 1 and len(points) > 1:
         chunks = [points[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the initializer carries the active basis table (the mutation
+        # hook's, if it is on) into workers under every start method
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=use_basis_table,
+                                 initargs=(active_basis_table(),)) as pool:
             outcomes = [r for chunk in pool.map(_evaluate_chunk, chunks)
                         for r in chunk]
     else:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -106,6 +107,23 @@ class TestVerify:
         failing = [r for r in doc["results"] if r["status"] == "FAIL"]
         assert any(c != "0" for c in failing[0]["residual"])
 
+    def test_corrupted_table_fails_in_spawned_workers(self):
+        # spawned workers import a fresh package, so the corrupted table
+        # must be handed to them rather than inherited
+        code = (
+            "import multiprocessing, sys\n"
+            "from mersenne_octonions.cli import main\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "sys.exit(main(['verify', '--k', '2', '--n', '1..3',"
+            " '--identities', 'cassini', '--corrupt-table']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "MERSOCT_MAX_WORKERS": "2"}, timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_report_file_byte_stable(self, tmp_path, capsys):
         args = [
             "verify", "--k", "1..2", "--n", "0..3", "--ij-max", "1",
@@ -139,6 +157,16 @@ class TestBench:
     def test_negative_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--n-values", "-5")
         assert code == 2
+
+    def test_non_integer_n_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n-values", "5,x")
+        assert code == 2
+        assert "error" in err and out == ""
+
+    def test_zero_repeat_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--repeat", "0")
+        assert code == 2
+        assert "error" in err and out == ""
 
 
 class TestEntryPoint:

@@ -141,3 +141,19 @@ class TestNormClosedForm:
                 oct_seq_norm_sq_closed(ML, 1, n)
                 == 21845 * 4**n + 510 * 2**n + 8
             )
+
+
+class TestExactIntegerResults:
+    """The closed forms return ints, never floats, even where a float
+    would overflow."""
+
+    @pytest.mark.parametrize("family", [M, ML])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_large_n_stays_int(self, family, k):
+        n = 1200
+        closed = oct_seq_closed(family, k, n)
+        assert all(type(c) is int for c in closed.coords)
+        assert closed == oct_seq(family, k, n)
+        norm = oct_seq_norm_sq_closed(family, k, n)
+        assert type(norm) is int
+        assert norm == oct_seq(family, k, n).norm_sq()

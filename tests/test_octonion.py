@@ -43,6 +43,22 @@ def rand_quad_oct(rnd, k):
 oct_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 octonions = st.builds(Octonion, st.tuples(*([oct_fracs] * 8)))
 
+small_ints = st.integers(min_value=-10**6, max_value=10**6)
+
+
+def quad_scalars(k):
+    return st.builds(QuadElem, st.just(k), oct_fracs, oct_fracs)
+
+
+# Octonion pairs over each scalar ring the verifier uses: int, Fraction
+# and QuadElem (one ring per pair).
+octonion_pairs = st.one_of(
+    st.tuples(*[st.builds(Octonion, st.tuples(*([small_ints] * 8)))] * 2),
+    st.tuples(octonions, octonions),
+    st.integers(min_value=1, max_value=4).flatmap(lambda k: st.tuples(
+        *[st.builds(Octonion, st.tuples(*([quad_scalars(k)] * 8)))] * 2)),
+)
+
 
 class TestBasisTable:
     @pytest.mark.parametrize("i", range(8))
@@ -184,6 +200,29 @@ class TestScalarRings:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             Octonion((1, 2, 3))
+
+
+class TestCompiledProduct:
+    """The product compiled from SIGN/INDEX against the independent
+    Cayley-Dickson oracle."""
+
+    @given(octonion_pairs)
+    def test_equals_cd_mul(self, pair):
+        a, b = pair
+        assert a * b == cd_mul(a, b)
+        assert b * a == cd_mul(b, a)
+
+    @given(octonion_pairs)
+    def test_corrupted_table_differs_by_the_flipped_term(self, pair):
+        # flipping e1*e2 = e3 to -e3 moves the product by -2 a1 b2 e3
+        a, b = pair
+        with corrupted_basis_table(1, 2):
+            wrong = a * b
+        flipped = a.coords[1] * b.coords[2] * -2
+        assert wrong - cd_mul(a, b) == Octonion.basis(3, flipped)
+        if flipped != 0:
+            assert wrong != cd_mul(a, b)
+        assert a * b == cd_mul(a, b)
 
 
 class TestCorruptionHook:

@@ -233,3 +233,39 @@ class TestSplitEvaluationK1:
         # conj swaps the roots, so evaluating conj(x) at 2 equals
         # evaluating x at 1
         assert self._ev(x.conj()) == x.a + x.b
+
+
+class TestCoordinateTypes:
+    """Integral coordinates are plain ints; a Fraction appears only for
+    a value that is not an integer."""
+
+    def test_integral_inputs_become_int(self):
+        x = QuadElem(2, Fraction(4, 2), Fraction(-3))
+        assert type(x.a) is int and type(x.b) is int
+        assert (x.a, x.b) == (2, -3)
+
+    def test_non_integral_stays_fraction(self):
+        x = QuadElem(2, Fraction(1, 2), 3)
+        assert x.a == Fraction(1, 2) and type(x.b) is int
+
+    def test_arithmetic_keeps_ints(self):
+        for k in (1, 2, 5):
+            x = lam(k) ** 9 - lam(k).conj() ** 4 * 3 + 7
+            assert type(x.a) is int and type(x.b) is int
+
+    def test_fraction_product_returning_to_integers(self):
+        x = QuadElem(3, Fraction(1, 2), Fraction(3, 2)) * 2
+        assert x == QuadElem(3, 1, 3)
+        assert type(x.a) is int and type(x.b) is int
+
+    def test_div_by_root_diff_is_exact(self):
+        for k in (1, 2, 3):
+            x = div_by_root_diff(lam(k) ** 7 - lam(k).conj() ** 7)
+            assert type(x.a) is int and type(x.b) is int
+        # not divisible: an exact Fraction, never a float
+        x = div_by_root_diff(one(2))
+        assert x == QuadElem(2, Fraction(-6, 28), Fraction(2, 28))
+
+    def test_rational_is_a_fraction(self):
+        v = QuadElem(2, 6, 0).rational()
+        assert type(v) is Fraction and v == 6

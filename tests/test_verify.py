@@ -1,5 +1,6 @@
 """Tests for the identity verifier and its report machinery."""
 
+import hashlib
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from mersenne_octonions.octonion import corrupted_basis_table
 from mersenne_octonions.sequences import Family, seq_value
 from mersenne_octonions.oct_sequences import oct_seq
+from mersenne_octonions import verify
 from mersenne_octonions.verify import (
     ConfigError,
     GridConfig,
@@ -84,6 +86,17 @@ class TestDocagne:
         res = check_docagne(M, 2, 4, 4)
         assert res.status is Status.PASS
 
+    @pytest.mark.parametrize("family", [M, ML])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_r_exceeding_n(self, family, k):
+        # the cached core is mirrored for n - r < 0
+        for n in range(6):
+            for r in range(n + 1, n + 7):
+                assert check_docagne(family, k, n, r).status is Status.PASS
+                if k == 1:
+                    res = check_docagne(family, k, n, r, specialized=True)
+                    assert res.status is Status.PASS
+
 
 class TestVajda:
     def test_spot_pass(self):
@@ -152,6 +165,38 @@ class TestOtherChecks:
     def test_specialized_needs_k1(self):
         with pytest.raises(ParamError):
             check_binet(M, 2, 3, specialized=True)
+
+
+class TestRightSideCores:
+    def test_specialized_catalan_core_is_int(self):
+        for family in (M, ML):
+            for r in range(8):
+                for ordering in ("lr", "rl"):
+                    core = verify._catalan_core(family, 1, r, ordering, True)
+                    assert all(type(c) is int for c in core.coords)
+
+    def test_caches_hold_the_default_grid(self):
+        # one key per distinct core the default grid asks for
+        keys = {name: set() for name in ("catalan", "cassini", "docagne", "vajda")}
+        for name, family, p in verify._grid_points(GridConfig()):
+            sp = p.get("specialized")
+            if name == "catalan":
+                keys[name].add((family, p["k"], p["r"], p["ordering"], sp))
+            elif name == "cassini":
+                keys[name].add((family, p["k"], p["ordering"], sp))
+            elif name == "docagne" and not sp:
+                keys[name].add((family, p["k"], p["n"] - p["r"]))
+            elif name == "vajda":
+                keys[name].add((family, p["k"], p["j"], sp))
+        assert {n: len(v) for n, v in keys.items()} == {
+            "catalan": 584, "cassini": 24, "docagne": 250, "vajda": 108,
+        }
+        for name, cache in (("catalan", verify._catalan_core),
+                            ("cassini", verify._cassini_core),
+                            ("docagne", verify._docagne_core),
+                            ("vajda", verify._vajda_core)):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and maxsize >= len(keys[name])
 
 
 class TestCorruptedTable:
@@ -232,6 +277,12 @@ class TestGrid:
         assert "1 - 3kx + 2x^2" in joined
         assert "conjugate" in joined
         assert "2^(n-1)" in joined
+
+    def test_default_report_digest(self, default_report):
+        # pinned byte for byte, serial: any change to it is a change to
+        # the tool's output and must be declared as one
+        digest = hashlib.sha256(default_report.to_json().encode()).hexdigest()
+        assert digest == "2ce8b51fcb906f586ade3e49dcd5cf715e52f8d9aed4b80bc16ecc3fff2f0fff"
 
     def test_summary_table_shape(self, default_report):
         table = default_report.summary_table()
