@@ -230,12 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact integers of any length: lift the int->str limit for this command
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except SystemExit2 as exc:
         return exc.code
     except BrokenPipeError:
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

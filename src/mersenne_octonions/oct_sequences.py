@@ -31,7 +31,9 @@ class AlphaBeta:
     beta: Octonion
 
 
-@lru_cache(maxsize=None)
+# Each bound is at least twice the most keys one command fills: the
+# default grid (oct_seq 490, alpha_beta 5), a verify at n <= 120 (_lam_pow 362).
+@lru_cache(maxsize=16)
 def alpha_beta(k: int) -> AlphaBeta:
     powers = [lam(k) ** r for r in range(8)]
     return AlphaBeta(
@@ -49,7 +51,7 @@ def alpha_beta_evaluated_k1() -> AlphaBeta:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def oct_seq(family: Family, k: int, n: int) -> Octonion:
     """Defining form: coordinate r is the scalar sequence at n+r."""
     return Octonion(seq_window(family, k, n, 8))
@@ -73,7 +75,7 @@ def project_rational(x: Octonion) -> Octonion:
     return x.map_coords(down)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _lam_pow(k: int, e: int) -> QuadElem:
     return lam(k) ** e
 
@@ -84,7 +86,7 @@ def oct_seq_closed(family: Family, k: int, n: int) -> Octonion:
     ab = alpha_beta(k)
     p1 = _lam_pow(k, n)
     p2 = p1.conj()
-    if family is Family.MERSENNE:
+    if Family(family) is Family.MERSENNE:
         x = (ab.alpha.scale(p1) - ab.beta.scale(p2)).map_coords(div_by_root_diff)
     else:
         x = ab.alpha.scale(p1) + ab.beta.scale(p2)
@@ -105,7 +107,7 @@ def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:
     p1 = _lam_pow(k, 2 * n)
     val = (p1 * s1 + p1.conj() * s2).rational()
     tail = 255 * 2 ** (n + 1)
-    if family is Family.MERSENNE:
+    if Family(family) is Family.MERSENNE:
         val = (val - tail) / discriminant(k)
     else:
         val = val + tail

@@ -11,7 +11,6 @@ grow like (3k)^n).
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from .quadratic import div_by_root_diff, lam
 
@@ -26,7 +25,8 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def _initial(family: Family, k: int):
-    if family is Family.MERSENNE:
+    # Family() also resolves a plain string that names a family
+    if Family(family) is Family.MERSENNE:
         return 0, 1
     return 2, 3 * k
 
@@ -49,7 +49,6 @@ def seq_value(family: Family, k: int, n: int) -> int:
     return x1
 
 
-@lru_cache(maxsize=None)
 def seq_window(family: Family, k: int, n: int, length: int = 8) -> tuple:
     """Terms n, n+1, ..., n+length-1 in one pass."""
     _check_params(k, n)
@@ -72,7 +71,7 @@ def seq_binet(family: Family, k: int, n: int) -> int:
     _check_params(k, n)
     l1 = lam(k)
     l2 = l1.conj()
-    if family is Family.MERSENNE:
+    if Family(family) is Family.MERSENNE:
         q = div_by_root_diff(l1**n - l2**n)
     else:
         q = l1**n + l2**n

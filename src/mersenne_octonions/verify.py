@@ -18,6 +18,7 @@ derivation actually yields (see DISCREPANCIES below).
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -104,7 +105,10 @@ def _result(identity, family, params, lhs, rhs, note="") -> CheckResult:
     return CheckResult(identity, family, params, status, residual, note)
 
 
-def _check_common(k: int, specialized: bool):
+def _check_common(family, k: int, specialized: bool):
+    # a string equals its Family member as a cache key, not by identity
+    if not isinstance(family, Family):
+        raise ParamError(f"not a family: {family!r}")
     if k < 1:
         raise ParamError(f"k must be a positive integer, got {k}")
     if specialized and k != 1:
@@ -116,7 +120,7 @@ def _check_common(k: int, specialized: bool):
 # computed on a code path fully independent of the table data the left
 # side exercises.
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _ab_ba_quad(k: int):
     ab = alpha_beta(k)
     return cd_mul(ab.alpha, ab.beta), cd_mul(ab.beta, ab.alpha)
@@ -132,6 +136,70 @@ def _products(k: int, specialized: bool):
     if specialized:
         return _ab_ba_k1()
     return _ab_ba_quad(k)
+
+
+# --- Identity registry ----------------------------------------------
+
+# name -> check_<name>; the grid calls every check through this dict
+_CHECKS = {}
+# name -> points(cfg), the check's keyword dicts beyond family on the grid
+_GRIDS = {}
+
+_ORDERINGS = ("lr", "rl")
+
+
+def _identity(points):
+    """Register the decorated check_<name> as identity <name>, run on
+    every keyword dict that points(cfg) yields."""
+    def register(check):
+        name = check.__name__.removeprefix("check_")
+        _CHECKS[name], _GRIDS[name] = check, points
+        return check
+    return register
+
+
+def _passes(cfg):
+    """(k, n_max, specialized) for the general pass at each k, then for
+    the specialized pass at k = 1 of the identities that have one."""
+    for k in cfg.ks:
+        yield k, cfg.n_max, False
+        if k == 1 and cfg.include_specialized:
+            yield k, cfg.specialized_n_max, True
+
+
+# --- Binet closed form and norm --------------------------------------
+
+@_identity(lambda cfg: ({"k": k, "n": n, "specialized": sp}
+                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)))
+def check_binet(family: Family, k: int, n: int,
+                specialized: bool = False) -> CheckResult:
+    """Defining recurrence octonion against the closed form."""
+    _check_common(family, k, specialized)
+    if n < 0:
+        raise ParamError(f"need n >= 0, got n={n}")
+    lhs = oct_seq(family, k, n)
+    if specialized:
+        ab = alpha_beta_evaluated_k1()
+        a_pow = ab.alpha.scale(2**n)
+        rhs = a_pow - ab.beta if family is Family.MERSENNE else a_pow + ab.beta
+    else:
+        rhs = oct_seq_closed(family, k, n)
+    params = {"k": k, "n": n, "specialized": specialized}
+    return _result("binet", family, params, lhs, rhs)
+
+
+@_identity(lambda cfg: ({"k": k, "n": n} for k in cfg.ks for n in range(cfg.n_max + 1)))
+def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
+    """Direct sum of squared coordinates against the closed-form
+    squared norm; the scalar residual is reported in the e0 slot."""
+    _check_common(family, k, False)
+    if n < 0:
+        raise ParamError(f"need n >= 0, got n={n}")
+    direct = oct_seq(family, k, n).norm_sq()
+    closed = oct_seq_norm_sq_closed(family, k, n)
+    lhs = Octonion.basis(0, direct)
+    rhs = Octonion.basis(0, closed)
+    return _result("norm_closed", family, {"k": k, "n": n}, lhs, rhs)
 
 
 # --- Catalan / Cassini ------------------------------------------------
@@ -169,12 +237,15 @@ def _catalan_core(family: Family, k: int, r: int, ordering: str,
     return project_rational(core)
 
 
+@_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
+                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)
+                        for r in range(n + 1) for o in _ORDERINGS))
 def check_catalan(family: Family, k: int, n: int, r: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """S[n+r]S[n-r] - S[n]^2 ("lr") or S[n-r]S[n+r] - S[n]^2 ("rl")
     against the closed right side."""
-    _check_common(k, specialized)
-    if ordering not in ("lr", "rl"):
+    _check_common(family, k, specialized)
+    if ordering not in _ORDERINGS:
         raise ParamError(f"unknown ordering {ordering!r}")
     if not 0 <= r <= n:
         raise ParamError(f"need 0 <= r <= n, got r={r}, n={n}")
@@ -208,6 +279,9 @@ def _cassini_core(family: Family, k: int, ordering: str,
     return project_rational(core)
 
 
+@_identity(lambda cfg: ({"k": k, "n": n, "ordering": o, "specialized": sp}
+                        for k, n_hi, sp in _passes(cfg) for n in range(1, n_hi + 1)
+                        for o in _ORDERINGS))
 def check_cassini(family: Family, k: int, n: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """The r=1 Catalan case, computed directly from the Cassini
@@ -217,8 +291,8 @@ def check_cassini(family: Family, k: int, n: int,
     2^n; the derivation gives 2^(n-1), which is what is verified (see
     DISCREPANCIES).
     """
-    _check_common(k, specialized)
-    if ordering not in ("lr", "rl"):
+    _check_common(family, k, specialized)
+    if ordering not in _ORDERINGS:
         raise ParamError(f"unknown ordering {ordering!r}")
     if n < 1:
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
@@ -251,10 +325,13 @@ def _docagne_core(family: Family, k: int, d: int) -> Octonion:
     return project_rational(x)
 
 
+@_identity(lambda cfg: ({"k": k, "n": n, "r": r, "specialized": sp}
+                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)
+                        for r in range(n + 1)))
 def check_docagne(family: Family, k: int, n: int, r: int,
                   specialized: bool = False) -> CheckResult:
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
-    _check_common(k, specialized)
+    _check_common(family, k, specialized)
     if n < 0 or r < 0:
         raise ParamError(f"need n, r >= 0, got n={n}, r={r}")
     lhs = (
@@ -292,10 +369,13 @@ def _vajda_core(family: Family, k: int, j: int, specialized: bool) -> Octonion:
     return project_rational(x)
 
 
+@_identity(lambda cfg: ({"k": k, "n": n, "i": i, "j": j, "specialized": sp}
+                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)
+                        for i in range(cfg.ij_max + 1) for j in range(cfg.ij_max + 1)))
 def check_vajda(family: Family, k: int, n: int, i: int, j: int,
                 specialized: bool = False) -> CheckResult:
     """S[n+i]S[n+j] - S[n]S[n+i+j] against the closed right side."""
-    _check_common(k, specialized)
+    _check_common(family, k, specialized)
     if min(n, i, j) < 0:
         raise ParamError(f"need n, i, j >= 0, got n={n}, i={i}, j={j}")
     lhs = (
@@ -308,40 +388,9 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
     return _result("vajda", family, params, lhs, rhs)
 
 
-# --- Binet closed form and norm --------------------------------------
-
-def check_binet(family: Family, k: int, n: int,
-                specialized: bool = False) -> CheckResult:
-    """Defining recurrence octonion against the closed form."""
-    _check_common(k, specialized)
-    if n < 0:
-        raise ParamError(f"need n >= 0, got n={n}")
-    lhs = oct_seq(family, k, n)
-    if specialized:
-        ab = alpha_beta_evaluated_k1()
-        a_pow = ab.alpha.scale(2**n)
-        rhs = a_pow - ab.beta if family is Family.MERSENNE else a_pow + ab.beta
-    else:
-        rhs = oct_seq_closed(family, k, n)
-    params = {"k": k, "n": n, "specialized": specialized}
-    return _result("binet", family, params, lhs, rhs)
-
-
-def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
-    """Direct sum of squared coordinates against the closed-form
-    squared norm; the scalar residual is reported in the e0 slot."""
-    _check_common(k, False)
-    if n < 0:
-        raise ParamError(f"need n >= 0, got n={n}")
-    direct = oct_seq(family, k, n).norm_sq()
-    closed = oct_seq_norm_sq_closed(family, k, n)
-    lhs = Octonion.basis(0, direct)
-    rhs = Octonion.basis(0, closed)
-    return _result("norm_closed", family, {"k": k, "n": n}, lhs, rhs)
-
-
 # --- Generating function and finite sum ------------------------------
 
+@_identity(lambda cfg: ({"k": k, "terms": cfg.genfunc_terms} for k in cfg.genfunc_ks))
 def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
     """Expand (S0 + x(S1 - 3k S0)) / (1 - 3kx + 2x^2) and compare the
     first `terms` coefficients with the sequence octonions.
@@ -349,7 +398,7 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
     The Mersenne-family denominator is stated without k in its source;
     the derivation's 1 - 3kx + 2x^2 is used (see DISCREPANCIES).
     """
-    _check_common(k, False)
+    _check_common(family, k, False)
     if terms < 2:
         raise ParamError(f"need at least 2 terms, got {terms}")
     # c0 = S0 and c1 = 3k*c0 + (S1 - 3k*S0) = S1; thereafter the
@@ -373,6 +422,9 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
                    note="denominator 1 - 3kx + 2x^2 per derivation")
 
 
+# the k = 1 pass is the specialized form, over the general pass's n range
+@_identity(lambda cfg: ({"k": k, "n": n, "form": "specialized" if sp else "general"}
+                        for k, _, sp in _passes(cfg) for n in range(cfg.n_max + 1)))
 def check_finite_sum(family: Family, k: int, n: int,
                      form: str = "auto") -> CheckResult:
     """Partial sum of the first n+1 sequence octonions against the
@@ -383,7 +435,7 @@ def check_finite_sum(family: Family, k: int, n: int,
     S[n+1] - (alpha +- n*beta) applies, with alpha, beta evaluated at
     lam1=2, lam2=1.
     """
-    _check_common(k, False)
+    _check_common(family, k, False)
     if n < 0:
         raise ParamError(f"need n >= 0, got n={n}")
     if form not in ("auto", "general", "specialized"):
@@ -418,27 +470,7 @@ def check_finite_sum(family: Family, k: int, n: int,
 
 # --- Grid runner ------------------------------------------------------
 
-IDENTITIES = (
-    "binet",
-    "norm_closed",
-    "catalan",
-    "cassini",
-    "docagne",
-    "vajda",
-    "genfunc_ordinary",
-    "finite_sum",
-)
-
-_CHECKS = {
-    "binet": check_binet,
-    "norm_closed": check_norm_closed,
-    "catalan": check_catalan,
-    "cassini": check_cassini,
-    "docagne": check_docagne,
-    "vajda": check_vajda,
-    "genfunc_ordinary": check_genfunc_ordinary,
-    "finite_sum": check_finite_sum,
-}
+IDENTITIES = tuple(_CHECKS)
 
 BOTH_FAMILIES = (Family.MERSENNE, Family.MERSENNE_LUCAS)
 
@@ -471,7 +503,7 @@ class GridConfig:
         for f in self.families:
             if not isinstance(f, Family):
                 raise ConfigError(f"not a family: {f!r}")
-        unknown = set(self.identities) - set(IDENTITIES)
+        unknown = set(self.identities) - set(_CHECKS)
         if unknown:
             raise ConfigError(f"unknown identities: {sorted(unknown)}")
         if self.n_max < 1 or self.specialized_n_max < 1:
@@ -481,66 +513,23 @@ class GridConfig:
         if "genfunc_ordinary" in self.identities and self.genfunc_terms < 2:
             raise ConfigError("genfunc_terms must be >= 2")
         for point in self.extra_points:
-            if len(point) != 3 or point[0] not in IDENTITIES:
+            if len(point) != 3 or point[0] not in _CHECKS or not isinstance(point[2], dict):
                 raise ConfigError(f"malformed extra point: {point!r}")
 
 
 def _grid_points(cfg: GridConfig):
     """Deterministic list of (identity, family, params-dict) tasks."""
-    points = []
+    return [(name, family, params) for name in cfg.identities
+            for family in cfg.families for params in _GRIDS[name](cfg)]
 
-    def add(identity, family, **params):
-        points.append((identity, family, params))
 
-    for name in cfg.identities:
-        if name == "genfunc_ordinary":
-            for family in cfg.families:
-                for k in cfg.genfunc_ks:
-                    add(name, family, k=k, terms=cfg.genfunc_terms)
-            continue
-        for family in cfg.families:
-            for k in cfg.ks:
-                spec_modes = [False]
-                if cfg.include_specialized and k == 1 and name != "norm_closed":
-                    spec_modes.append(True)
-                for sp in spec_modes:
-                    n_hi = cfg.specialized_n_max if sp else cfg.n_max
-                    if name == "norm_closed":
-                        for n in range(n_hi + 1):
-                            add(name, family, k=k, n=n)
-                    elif name == "binet":
-                        for n in range(n_hi + 1):
-                            add(name, family, k=k, n=n, specialized=sp)
-                    elif name == "catalan":
-                        for n in range(n_hi + 1):
-                            for r in range(n + 1):
-                                for ordering in ("lr", "rl"):
-                                    add(name, family, k=k, n=n, r=r,
-                                        ordering=ordering, specialized=sp)
-                    elif name == "cassini":
-                        for n in range(1, n_hi + 1):
-                            for ordering in ("lr", "rl"):
-                                add(name, family, k=k, n=n,
-                                    ordering=ordering, specialized=sp)
-                    elif name == "docagne":
-                        for n in range(n_hi + 1):
-                            for r in range(n + 1):
-                                add(name, family, k=k, n=n, r=r, specialized=sp)
-                    elif name == "vajda":
-                        for n in range(n_hi + 1):
-                            for i in range(cfg.ij_max + 1):
-                                for j in range(cfg.ij_max + 1):
-                                    add(name, family, k=k, n=n, i=i, j=j,
-                                        specialized=sp)
-                    elif name == "finite_sum":
-                        for n in range(n_hi + 1):
-                            if sp:
-                                continue  # handled via form below
-                            add(name, family, k=k, n=n, form="general")
-                            if k == 1 and cfg.include_specialized:
-                                add(name, family, k=k, n=n, form="specialized")
-    points.extend(cfg.extra_points)
-    return points
+def _input_error(identity, family, params, message) -> dict:
+    return {
+        "identity": identity,
+        "family": family.value if isinstance(family, Family) else str(family),
+        "params": {k: params[k] for k in sorted(params)},
+        "error": message,
+    }
 
 
 def _evaluate_point(point):
@@ -548,12 +537,7 @@ def _evaluate_point(point):
     try:
         return _CHECKS[identity](family, **params)
     except ParamError as exc:
-        return {
-            "identity": identity,
-            "family": family.value,
-            "params": {k: params[k] for k in sorted(params)},
-            "error": str(exc),
-        }
+        return _input_error(identity, family, params, str(exc))
 
 
 def _evaluate_chunk(points):
@@ -565,9 +549,7 @@ class VerificationReport:
     results: tuple
     input_errors: tuple
     summary: dict
-    discrepancies: tuple = DISCREPANCIES
-    tool: str = "mersenne-octonions"
-    version: str = __version__
+    discrepancies = DISCREPANCIES  # a class constant, not a field
 
     @property
     def failed(self) -> bool:
@@ -575,8 +557,8 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "mersenne-octonions",
+            "version": __version__,
             "summary": dict(sorted(self.summary.items())),
             "discrepancies": list(self.discrepancies),
             "input_errors": list(self.input_errors),
@@ -636,6 +618,13 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     cfg = cfg or GridConfig()
     cfg.validate()
     points = _grid_points(cfg)
+    outcomes = []
+    for point in cfg.extra_points:
+        try:  # a keyword the check does not take, or lacks, is an input error
+            inspect.signature(_CHECKS[point[0]]).bind(point[1], **point[2])
+            points.append(point)
+        except TypeError as exc:
+            outcomes.append(_input_error(*point, str(exc)))
     workers = _max_workers()
     if workers > 1 and len(points) > 1:
         chunks = [points[i::workers] for i in range(workers)]
@@ -644,10 +633,10 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=use_basis_table,
                                  initargs=(active_basis_table(),)) as pool:
-            outcomes = [r for chunk in pool.map(_evaluate_chunk, chunks)
-                        for r in chunk]
+            outcomes += [r for chunk in pool.map(_evaluate_chunk, chunks)
+                         for r in chunk]
     else:
-        outcomes = [_evaluate_point(p) for p in points]
+        outcomes += [_evaluate_point(p) for p in points]
     results = sorted(
         (o for o in outcomes if isinstance(o, CheckResult)),
         key=CheckResult.sort_key,

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from mersenne_octonions.verify import GridConfig, run_grid
@@ -7,3 +11,15 @@ from mersenne_octonions.verify import GridConfig, run_grid
 def default_report():
     """One full default-grid verification run, shared across tests."""
     return run_grid(GridConfig())
+
+
+@pytest.fixture
+def run_fresh():
+    """Run Python source in a fresh interpreter, so that nothing it
+    caches can reach this session."""
+    def run(source):
+        return subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(source)],
+            capture_output=True, text=True, timeout=300,
+        )
+    return run

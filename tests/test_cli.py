@@ -169,6 +169,61 @@ class TestBench:
         assert "error" in err and out == ""
 
 
+def terms(x0, x1, k, n_lo, n_hi):
+    """x[n_lo..n_hi] of x[n+1] = 3k x[n] - 2 x[n-1], run here apart
+    from the package."""
+    out = []
+    for n in range(n_hi + 1):
+        if n >= n_lo:
+            out.append(x0)
+        x0, x1 = x1, 3 * k * x1 - 2 * x0
+    return out
+
+
+class TestPastTheDigitLimit:
+    # outputs longer than the interpreter's default 4,300-digit int->str
+    # limit, which main lifts for one command and then restores
+
+    @pytest.fixture(autouse=True)
+    def restore_limit(self):
+        old = sys.get_int_max_str_digits()
+        yield
+        sys.set_int_max_str_digits(old)
+
+    def run(self, capsys, *argv):
+        sys.set_int_max_str_digits(4300)
+        result = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)  # for the test's own conversions
+        return result
+
+    def test_seq(self, capsys):
+        code, out, _ = self.run(capsys, "seq", "--k", "1", "--n", "20000")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert int(row["mersenne"]) == terms(0, 1, 1, 20000, 20000)[0]
+        assert int(row["mersenne_lucas"]) == terms(2, 3, 1, 20000, 20000)[0]
+
+    def test_oct(self, capsys):
+        code, out, _ = self.run(capsys, "oct", "--k", "1", "--n", "15000")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["family"] for r in rows] == ["mersenne", "mersenne-lucas"]
+        for row, x0, x1 in zip(rows, (0, 2), (1, 3)):
+            expected = terms(x0, x1, 1, 15000, 15007)
+            assert [int(row[f"e{r}"]) for r in range(8)] == expected
+
+    def test_bench(self, capsys):
+        code, out, _ = self.run(
+            capsys, "bench", "--k", "1", "--n-values", "100000", "--repeat", "1"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        # M[100000] = 2^100000 - 1 at k = 1
+        digits = len(str(terms(0, 1, 1, 100000, 100000)[0]))
+        assert [int(r["digits"]) for r in rows] == [digits, digits] == [30103, 30103]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -94,3 +94,34 @@ class TestEquivalenceAndGrowth:
                         - seq_value(M, k, n) ** 2
                     )
                     assert lhs == -(2 ** (n - r)) * seq_value(M, k, r) ** 2
+
+
+class TestFamilyByName:
+    def test_string_names_its_family(self, run_fresh):
+        # A string equals its Family member as a cache key, so "mersenne"
+        # read as the Lucas family would fill oct_seq's cache with Lucas
+        # values and fail a later grid in the same process.
+        proc = run_fresh("""
+            from mersenne_octonions.oct_sequences import (
+                oct_seq, oct_seq_closed, oct_seq_norm_sq_closed)
+            from mersenne_octonions.sequences import (
+                Family, seq_binet, seq_fast, seq_value, seq_window)
+            from mersenne_octonions.verify import GridConfig, run_grid
+
+            assert seq_value("mersenne", 2, 3) == 34
+            assert oct_seq("mersenne", 2, 0).coords[:4] == (0, 1, 6, 34)
+            cfg = GridConfig(ks=(2,), n_max=3, ij_max=1, include_specialized=False)
+            report = run_grid(cfg)
+            assert report.summary["FAIL"] == 0, report.summary
+            for family in Family:
+                for fn in (seq_value, seq_fast, seq_binet, seq_window,
+                           oct_seq_closed, oct_seq_norm_sq_closed):
+                    assert fn(family.value, 2, 3) == fn(family, 2, 3), (fn, family)
+            try:
+                seq_value("fibonacci", 2, 3)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError("an unknown family name was accepted")
+        """)
+        assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Tests for the identity verifier and its report machinery."""
 
+import collections
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,9 +9,9 @@ import random
 import pytest
 
 from mersenne_octonions.octonion import corrupted_basis_table
-from mersenne_octonions.sequences import Family, seq_value
+from mersenne_octonions.sequences import Family, seq_value, seq_window
 from mersenne_octonions.oct_sequences import oct_seq
-from mersenne_octonions import verify
+from mersenne_octonions import oct_sequences, verify
 from mersenne_octonions.verify import (
     ConfigError,
     GridConfig,
@@ -175,7 +177,7 @@ class TestRightSideCores:
                     core = verify._catalan_core(family, 1, r, ordering, True)
                     assert all(type(c) is int for c in core.coords)
 
-    def test_caches_hold_the_default_grid(self):
+    def test_caches_hold_the_default_grid(self, monkeypatch):
         # one key per distinct core the default grid asks for
         keys = {name: set() for name in ("catalan", "cassini", "docagne", "vajda")}
         for name, family, p in verify._grid_points(GridConfig()):
@@ -197,6 +199,26 @@ class TestRightSideCores:
                             ("vajda", verify._vajda_core)):
             maxsize = cache.cache_info().maxsize
             assert maxsize is not None and maxsize >= len(keys[name])
+        # the caches below are pinned by the most keys one command fills,
+        # measured from cold caches: the default grid, and a verify at
+        # large n; each bound holds twice that
+        monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
+                verify._ab_ba_quad, verify._ab_ba_k1, verify._catalan_core,
+                verify._cassini_core, verify._docagne_core, verify._vajda_core]
+        bounded = cold[:4]
+        needed = [0] * len(bounded)
+        for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
+                                             identities=("binet", "norm_closed", "cassini"))):
+            for cache in cold:
+                cache.cache_clear()
+            run_grid(cfg)
+            needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
+        assert needed == [490, 362, 5, 5]
+        for cache, n in zip(bounded, needed):
+            assert cache.cache_info().maxsize >= 2 * n
+        # oct_seq caches the same keys, so seq_window's own cache only missed
+        assert not hasattr(seq_window, "cache_info")
 
 
 class TestCorruptedTable:
@@ -232,6 +254,25 @@ class TestGrid:
             assert r.params["k"] == 1
             assert r.params["form"] == "general"
 
+    def test_grid_point_counts(self):
+        # pins the enumeration of every identity's parameter space,
+        # including Cassini's n >= 1, genfunc_ordinary's own k axis and
+        # finite_sum's k = 1 form running up to n_max
+        b = GridConfig(ks=(1, 3), n_max=7, specialized_n_max=4, ij_max=2,
+                       genfunc_ks=(2,), genfunc_terms=5)
+        c = dataclasses.replace(b, include_specialized=False, families=(ML,))
+        expected = {
+            "binet": (42, 16), "cassini": (72, 28), "catalan": (348, 144),
+            "docagne": (174, 72), "finite_sum": (48, 16),
+            "genfunc_ordinary": (2, 1), "norm_closed": (32, 16),
+            "vajda": (378, 144),
+        }
+        for col, cfg in enumerate((b, c)):
+            counts = collections.Counter(name for name, _, _ in verify._grid_points(cfg))
+            assert counts == {name: n[col] for name, n in expected.items()}
+        assert sum(n for n, _ in expected.values()) == 1096
+        assert sum(n for _, n in expected.values()) == 437
+
     def test_malformed_config_rejected(self):
         with pytest.raises(ConfigError):
             run_grid(GridConfig(ks=()))
@@ -256,6 +297,49 @@ class TestGrid:
         a = run_grid(cfg)
         b = run_grid(cfg)
         assert a.to_json() == b.to_json()
+
+    def test_bad_extra_point_keywords_reported_not_fatal(self):
+        extra = (
+            ("catalan", M, {"k": 2, "n": 1, "r": 1, "x": 0}),
+            ("catalan", M, {"k": 2, "n": 1}),
+            ("vajda", M, {"k": 2, "n": 1, "i": 1, "j": 1}),
+        )
+        cfg = GridConfig(ks=(2,), n_max=2, identities=("cassini",),
+                         include_specialized=False, extra_points=extra)
+        report = run_grid(cfg)
+        assert sorted(e["error"] for e in report.input_errors) == [
+            "got an unexpected keyword argument 'x'",
+            "missing a required argument: 'r'",
+        ]
+        assert report.summary == {"PASS": 9, "FAIL": 0, "SKIPPED": 0}
+        with pytest.raises(ConfigError):
+            run_grid(GridConfig(extra_points=(("catalan", M, [2, 1, 1]),)))
+
+    def test_string_family_is_an_input_error(self, run_fresh):
+        # in a fresh interpreter, so that a regression cannot fill this
+        # session's cached right sides with the other family's values
+        proc = run_fresh("""
+            from mersenne_octonions import verify
+            from mersenne_octonions.verify import GridConfig, ParamError, run_grid
+
+            for name, check in verify._CHECKS.items():
+                params = next(iter(verify._GRIDS[name](GridConfig(ks=(2,)))))
+                try:
+                    check("mersenne", **params)
+                except ParamError as exc:
+                    assert "not a family" in str(exc), exc
+                else:
+                    raise AssertionError(f"{name} took a string family")
+            extra = (("catalan", "mersenne", {"k": 2, "n": 3, "r": 1}),)
+            cfg = GridConfig(ks=(2,), n_max=3, ij_max=1, include_specialized=False,
+                             extra_points=extra)
+            report = run_grid(cfg)
+            assert report.summary["FAIL"] == 0, report.summary
+            (error,) = report.input_errors
+            assert error["family"] == "mersenne", error
+            assert "not a family" in error["error"], error
+        """)
+        assert proc.returncode == 0, proc.stderr
 
     def test_json_schema(self):
         cfg = GridConfig(
