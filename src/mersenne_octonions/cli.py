@@ -18,12 +18,13 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 
 from . import __version__
 from .octonion import corrupted_basis_table
 from .oct_sequences import oct_seq
 from .sequences import Family, seq_fast, seq_value
-from .verify import ConfigError, GridConfig, run_grid
+from .verify import IDENTITIES, ConfigError, GridConfig, run_grid
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,11 +67,21 @@ def _open_out(path: str | None):
         raise SystemExit2(f"cannot open output: {exc}")
 
 
+@contextmanager
+def _output(path: str | None):
+    """The output stream for path, closed on exit unless it is stdout."""
+    out, close = _open_out(path)
+    try:
+        yield out
+    finally:
+        if close:
+            out.close()
+
+
 def cmd_seq(args) -> int:
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["k", "n", "mersenne", "mersenne_lucas"])
         for k in ks:
@@ -80,62 +91,42 @@ def cmd_seq(args) -> int:
                     seq_value(Family.MERSENNE, k, n),
                     seq_value(Family.MERSENNE_LUCAS, k, n),
                 ])
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_oct(args) -> int:
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["family", "k", "n"] + [f"e{r}" for r in range(8)])
         for family in _FAMILIES[args.family]:
             for k in ks:
                 for n in ns:
                     w.writerow([family.value, k, n, *oct_seq(family, k, n).coords])
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
-    identities = tuple(args.identities.split(",")) if args.identities else None
     n_max = max(ns)
-    cfg_kwargs = dict(
+    cfg = GridConfig(
         ks=tuple(ks),
         n_max=n_max,
         specialized_n_max=min(20, n_max) if n_max >= 1 else 1,
         ij_max=args.ij_max,
         families=_FAMILIES[args.family],
+        identities=tuple(args.identities.split(",")) if args.identities else IDENTITIES,
         include_specialized=not args.no_specialized,
     )
-    if identities:
-        cfg_kwargs["identities"] = identities
     try:
-        cfg = GridConfig(**cfg_kwargs)
-        if args.corrupt_table:
-            with corrupted_basis_table():
-                report = run_grid(cfg)
-        else:
+        with corrupted_basis_table() if args.corrupt_table else nullcontext():
             report = run_grid(cfg)
     except ConfigError as exc:
         raise SystemExit2(str(exc))
-    out, close = _open_out(args.output)
-    try:
-        if args.format == "json":
-            out.write(report.to_json())
-        else:
-            out.write(report.summary_table())
-    finally:
-        if close:
-            out.close()
+    with _output(args.output) as out:
+        out.write(report.to_json() if args.format == "json" else report.summary_table())
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 
@@ -149,8 +140,7 @@ def cmd_bench(args) -> int:
         raise SystemExit2("bench n values must be nonnegative")
     if args.repeat < 1:
         raise SystemExit2(f"--repeat must be at least 1, got {args.repeat}")
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["k", "n", "method", "nanoseconds", "digits"])
         for k in ks:
@@ -174,9 +164,6 @@ def cmd_bench(args) -> int:
                 digits = len(str(abs(values["recurrence"]))) if values["recurrence"] else 1
                 for name in ("recurrence", "matrix_power"):
                     w.writerow([k, n, name, timings[name], digits])
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

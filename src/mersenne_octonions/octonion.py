@@ -14,17 +14,16 @@ table on all 64 basis pairs.
 Scalars may be int, Fraction, or QuadElem; any ring with exact +, -, *
 works, since octonion multiplication is the bilinear extension of the
 basis table.  That extension is compiled from the sign and index arrays
-on the first product taken with a table: eight straight-line sums of
-products of coordinates, with no per-term table lookups.  The compiled
-function is keyed by the active table, so the mutation test hook's
-corrupted table gets (and exercises) its own.
+into eight straight-line sums of products of coordinates, with no
+per-term table lookups.  Products are taken with the compiled function
+on top of a stack; the mutation test hook pushes one compiled from its
+corrupted table, so that table is exercised by the same code.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, neg, sub
 
 # Basis products e_i * e_j as (sign, index) meaning sign * e_index.
@@ -42,44 +41,14 @@ _TABLE = (
 SIGN = tuple(tuple(s for s, _ in row) for row in _TABLE)
 INDEX = tuple(tuple(t for _, t in row) for row in _TABLE)
 
-# The table in force.  Only the mutation test hook ever swaps it, and
-# run_grid hands it to every pool worker it starts.
-_active_table = [(SIGN, INDEX)]
 
-
-def active_basis_table() -> tuple:
-    """The (sign, index) basis table products currently use."""
-    return _active_table[-1]
-
-
-def use_basis_table(table: tuple) -> None:
-    """Make table the active one for the rest of this process (the
-    pool initializer that carries the parent's table into a worker)."""
-    _active_table[:] = [table]
-
-
-@contextmanager
-def corrupted_basis_table(i: int = 1, j: int = 2):
-    """Test hook: temporarily flip the sign of one basis product.
-
-    Used to demonstrate that the verifier actually detects a wrong
-    multiplication table.  Never nest with concurrent verification.
-    """
-    sign = [list(row) for row in SIGN]
-    sign[i][j] = -sign[i][j]
-    _active_table.append((tuple(tuple(r) for r in sign), INDEX))
-    try:
-        yield
-    finally:
-        _active_table.pop()
-
-
-@lru_cache(maxsize=8)
-def _compile_product(sign: tuple, index: tuple):
-    """The bilinear extension of one basis table as a straight-line
-    function of two coordinate tuples: one fixed sum per output
-    coordinate, generated from the table so that it stays the only
-    copy of the basis products."""
+def _compile_product(table: tuple):
+    """The bilinear extension of one (sign, index) basis table as a
+    straight-line function of two coordinate tuples: one fixed sum per
+    output coordinate, generated from the table so that it stays the
+    only copy of the basis products.  The function carries the table
+    it was compiled from as its `table` attribute."""
+    sign, index = table
     terms = [[] for _ in range(8)]
     for i in range(8):
         for j in range(8):
@@ -100,11 +69,42 @@ def _compile_product(sign: tuple, index: tuple):
     ])
     namespace = {}
     exec(source, namespace)
-    return namespace["product"]
+    product = namespace["product"]
+    product.table = table
+    return product
 
 
-# (table, compiled product) for the table last multiplied with
-_product = [None, None]
+# The compiled product in force is the last one.  Only the mutation
+# test hook ever pushes another, and run_grid hands its table to every
+# pool worker it starts.
+_products = [_compile_product((SIGN, INDEX))]
+
+
+def active_basis_table() -> tuple:
+    """The (sign, index) basis table products currently use."""
+    return _products[-1].table
+
+
+def use_basis_table(table: tuple) -> None:
+    """Make table the active one for the rest of this process (the
+    pool initializer that carries the parent's table into a worker)."""
+    _products[:] = [_compile_product(table)]
+
+
+@contextmanager
+def corrupted_basis_table(i: int = 1, j: int = 2):
+    """Test hook: temporarily flip the sign of one basis product.
+
+    Used to demonstrate that the verifier actually detects a wrong
+    multiplication table.  Never nest with concurrent verification.
+    """
+    sign = [list(row) for row in SIGN]
+    sign[i][j] = -sign[i][j]
+    _products.append(_compile_product((tuple(tuple(r) for r in sign), INDEX)))
+    try:
+        yield
+    finally:
+        _products.pop()
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,7 @@ class Octonion:
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        table = _active_table[-1]
-        if _product[0] is not table:
-            _product[:] = table, _compile_product(*table)
-        return Octonion(_product[1](self.coords, other.coords))
+        return Octonion(_products[-1](self.coords, other.coords))
 
     def scale(self, s) -> "Octonion":
         """Multiply every coordinate by the scalar s."""

@@ -105,12 +105,28 @@ def _result(identity, family, params, lhs, rhs, note="") -> CheckResult:
     return CheckResult(identity, family, params, status, residual, note)
 
 
-def _check_common(family, k: int, specialized: bool):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_common(family, k: int, specialized: bool, **counts):
+    """The guard every check runs first: family is a Family, specialized
+    a bool, k and each of the (one or more) counts n, r, i, j, terms are
+    ints, k >= 1 and the counts are >= 0."""
     # a string equals its Family member as a cache key, not by identity
     if not isinstance(family, Family):
         raise ParamError(f"not a family: {family!r}")
+    for name, value in ("k", k), *counts.items():
+        if not _is_int(value):
+            raise ParamError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise ParamError(f"k must be a positive integer, got {k}")
+    if min(counts.values()) < 0:
+        got = ", ".join(f"{name}={value}" for name, value in counts.items())
+        raise ParamError(f"need {', '.join(counts)} >= 0, got {got}")
+    # specialized keys the right-side caches, so it must be hashable
+    if not isinstance(specialized, bool):
+        raise ParamError(f"specialized must be a bool, got {specialized!r}")
     if specialized and k != 1:
         raise ParamError("specialized forms are defined only at k=1")
 
@@ -121,21 +137,10 @@ def _check_common(family, k: int, specialized: bool):
 # side exercises.
 
 @lru_cache(maxsize=16)
-def _ab_ba_quad(k: int):
-    ab = alpha_beta(k)
-    return cd_mul(ab.alpha, ab.beta), cd_mul(ab.beta, ab.alpha)
-
-
-@lru_cache(maxsize=None)
-def _ab_ba_k1():
-    ab = alpha_beta_evaluated_k1()
-    return cd_mul(ab.alpha, ab.beta), cd_mul(ab.beta, ab.alpha)
-
-
 def _products(k: int, specialized: bool):
-    if specialized:
-        return _ab_ba_k1()
-    return _ab_ba_quad(k)
+    """(alpha beta, beta alpha) at k, or evaluated at k = 1."""
+    ab = alpha_beta_evaluated_k1() if specialized else alpha_beta(k)
+    return cd_mul(ab.alpha, ab.beta), cd_mul(ab.beta, ab.alpha)
 
 
 # --- Identity registry ----------------------------------------------
@@ -174,9 +179,7 @@ def _passes(cfg):
 def check_binet(family: Family, k: int, n: int,
                 specialized: bool = False) -> CheckResult:
     """Defining recurrence octonion against the closed form."""
-    _check_common(family, k, specialized)
-    if n < 0:
-        raise ParamError(f"need n >= 0, got n={n}")
+    _check_common(family, k, specialized, n=n)
     lhs = oct_seq(family, k, n)
     if specialized:
         ab = alpha_beta_evaluated_k1()
@@ -192,9 +195,7 @@ def check_binet(family: Family, k: int, n: int,
 def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
     """Direct sum of squared coordinates against the closed-form
     squared norm; the scalar residual is reported in the e0 slot."""
-    _check_common(family, k, False)
-    if n < 0:
-        raise ParamError(f"need n >= 0, got n={n}")
+    _check_common(family, k, False, n=n)
     direct = oct_seq(family, k, n).norm_sq()
     closed = oct_seq_norm_sq_closed(family, k, n)
     lhs = Octonion.basis(0, direct)
@@ -244,10 +245,10 @@ def check_catalan(family: Family, k: int, n: int, r: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """S[n+r]S[n-r] - S[n]^2 ("lr") or S[n-r]S[n+r] - S[n]^2 ("rl")
     against the closed right side."""
-    _check_common(family, k, specialized)
+    _check_common(family, k, specialized, n=n, r=r)
     if ordering not in _ORDERINGS:
         raise ParamError(f"unknown ordering {ordering!r}")
-    if not 0 <= r <= n:
+    if r > n:
         raise ParamError(f"need 0 <= r <= n, got r={r}, n={n}")
     lo, hi, mid = oct_seq(family, k, n - r), oct_seq(family, k, n + r), oct_seq(family, k, n)
     lhs = (hi * lo if ordering == "lr" else lo * hi) - mid * mid
@@ -291,7 +292,7 @@ def check_cassini(family: Family, k: int, n: int,
     2^n; the derivation gives 2^(n-1), which is what is verified (see
     DISCREPANCIES).
     """
-    _check_common(family, k, specialized)
+    _check_common(family, k, specialized, n=n)
     if ordering not in _ORDERINGS:
         raise ParamError(f"unknown ordering {ordering!r}")
     if n < 1:
@@ -314,7 +315,7 @@ def _docagne_core(family: Family, k: int, d: int) -> Octonion:
     depends on d = n - r alone.  Since lam1 lam2 = 2, the scalars
     lam1^r lam2^n and lam1^n lam2^r are 2^r lam2^d and 2^r lam1^d for
     d >= 0, and 2^n lam1^-d and 2^n lam2^-d for d < 0."""
-    ab, ba = _ab_ba_quad(k)
+    ab, ba = _products(k, False)
     p = _lam_pow(k, abs(d))
     s_rn, s_nr = (p.conj(), p) if d >= 0 else (p, p.conj())
     if family is Family.MERSENNE:
@@ -331,15 +332,13 @@ def _docagne_core(family: Family, k: int, d: int) -> Octonion:
 def check_docagne(family: Family, k: int, n: int, r: int,
                   specialized: bool = False) -> CheckResult:
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
-    _check_common(family, k, specialized)
-    if n < 0 or r < 0:
-        raise ParamError(f"need n, r >= 0, got n={n}, r={r}")
+    _check_common(family, k, specialized, n=n, r=r)
     lhs = (
         oct_seq(family, k, r) * oct_seq(family, k, n + 1)
         - oct_seq(family, k, r + 1) * oct_seq(family, k, n)
     )
     if specialized:
-        ab, ba = _ab_ba_k1()
+        ab, ba = _products(k, specialized)
         if family is Family.MERSENNE:
             rhs = ab.scale(2**r) - ba.scale(2**n)
         else:
@@ -375,9 +374,7 @@ def _vajda_core(family: Family, k: int, j: int, specialized: bool) -> Octonion:
 def check_vajda(family: Family, k: int, n: int, i: int, j: int,
                 specialized: bool = False) -> CheckResult:
     """S[n+i]S[n+j] - S[n]S[n+i+j] against the closed right side."""
-    _check_common(family, k, specialized)
-    if min(n, i, j) < 0:
-        raise ParamError(f"need n, i, j >= 0, got n={n}, i={i}, j={j}")
+    _check_common(family, k, specialized, n=n, i=i, j=j)
     lhs = (
         oct_seq(family, k, n + i) * oct_seq(family, k, n + j)
         - oct_seq(family, k, n) * oct_seq(family, k, n + i + j)
@@ -398,7 +395,7 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
     The Mersenne-family denominator is stated without k in its source;
     the derivation's 1 - 3kx + 2x^2 is used (see DISCREPANCIES).
     """
-    _check_common(family, k, False)
+    _check_common(family, k, False, terms=terms)
     if terms < 2:
         raise ParamError(f"need at least 2 terms, got {terms}")
     # c0 = S0 and c1 = 3k*c0 + (S1 - 3k*S0) = S1; thereafter the
@@ -435,9 +432,7 @@ def check_finite_sum(family: Family, k: int, n: int,
     S[n+1] - (alpha +- n*beta) applies, with alpha, beta evaluated at
     lam1=2, lam2=1.
     """
-    _check_common(family, k, False)
-    if n < 0:
-        raise ParamError(f"need n >= 0, got n={n}")
+    _check_common(family, k, False, n=n)
     if form not in ("auto", "general", "specialized"):
         raise ParamError(f"unknown form {form!r}")
     if form == "auto":
@@ -496,24 +491,41 @@ class GridConfig:
     extra_points: tuple = ()
 
     def validate(self):
-        if not self.ks or any(k < 1 for k in self.ks):
+        for name in ("ks", "genfunc_ks", "families", "identities", "extra_points"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ConfigError(f"{name} must be a tuple")
+        for name in ("ks", "genfunc_ks"):
+            if not all(map(_is_int, getattr(self, name))):
+                raise ConfigError(f"{name} must hold integers")
+        for name in ("n_max", "specialized_n_max", "ij_max", "genfunc_terms"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if not isinstance(self.include_specialized, bool):
+            raise ConfigError("include_specialized must be a bool")
+        if not self.ks or min(self.ks) < 1:
             raise ConfigError("ks must be a non-empty tuple of integers >= 1")
         if not self.families:
             raise ConfigError("families must be non-empty")
         for f in self.families:
             if not isinstance(f, Family):
                 raise ConfigError(f"not a family: {f!r}")
-        unknown = set(self.identities) - set(_CHECKS)
+        # compared by ==, so an unhashable name is unknown, not a TypeError
+        unknown = {str(i) for i in self.identities if i not in IDENTITIES}
         if unknown:
             raise ConfigError(f"unknown identities: {sorted(unknown)}")
         if self.n_max < 1 or self.specialized_n_max < 1:
             raise ConfigError("n_max and specialized_n_max must be >= 1")
         if self.ij_max < 0:
             raise ConfigError("ij_max must be >= 0")
-        if "genfunc_ordinary" in self.identities and self.genfunc_terms < 2:
-            raise ConfigError("genfunc_terms must be >= 2")
+        if "genfunc_ordinary" in self.identities:
+            if self.genfunc_terms < 2:
+                raise ConfigError("genfunc_terms must be >= 2")
+            if any(k < 1 for k in self.genfunc_ks):
+                raise ConfigError("genfunc_ks must hold integers >= 1")
         for point in self.extra_points:
-            if len(point) != 3 or point[0] not in _CHECKS or not isinstance(point[2], dict):
+            if (not isinstance(point, tuple) or len(point) != 3
+                    or point[0] not in IDENTITIES or not isinstance(point[2], dict)
+                    or not all(isinstance(key, str) for key in point[2])):
                 raise ConfigError(f"malformed extra point: {point!r}")
 
 

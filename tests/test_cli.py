@@ -107,13 +107,14 @@ class TestVerify:
         failing = [r for r in doc["results"] if r["status"] == "FAIL"]
         assert any(c != "0" for c in failing[0]["residual"])
 
-    def test_corrupted_table_fails_in_spawned_workers(self):
-        # spawned workers import a fresh package, so the corrupted table
-        # must be handed to them rather than inherited
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_corrupted_table_fails_in_spawned_workers(self, method):
+        # forkserver and spawn workers import a fresh package, so the
+        # corrupted table must be handed to them rather than inherited
         code = (
             "import multiprocessing, sys\n"
             "from mersenne_octonions.cli import main\n"
-            "multiprocessing.set_start_method('spawn')\n"
+            f"multiprocessing.set_start_method({method!r})\n"
             "sys.exit(main(['verify', '--k', '2', '--n', '1..3',"
             " '--identities', 'cassini', '--corrupt-table']))\n"
         )

@@ -3,16 +3,19 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mersenne_octonions.octonion import corrupted_basis_table
 from mersenne_octonions.sequences import Family, seq_value, seq_window
 from mersenne_octonions.oct_sequences import oct_seq
 from mersenne_octonions import oct_sequences, verify
 from mersenne_octonions.verify import (
+    IDENTITIES,
     ConfigError,
     GridConfig,
     ParamError,
@@ -29,6 +32,43 @@ from mersenne_octonions.verify import (
 )
 
 M, ML = Family.MERSENNE, Family.MERSENNE_LUCAS
+
+# What a GridConfig field or a check parameter might be given by
+# mistake: small ints, strings, floats, None, bools, small tuples and
+# (unhashable) lists.
+_scalar = st.one_of(st.integers(-2, 3), st.text(max_size=3), st.floats(),
+                    st.none(), st.booleans())
+_small = st.lists(_scalar, max_size=2)
+_junk = st.one_of(_scalar, _small.map(tuple), _small)
+
+
+def _extra_point(name):
+    """A point for check_<name> with each keyword it takes (its optional
+    ones maybe left out), each a small int or anything else."""
+    params = list(inspect.signature(verify._CHECKS[name]).parameters.values())[1:]
+    value = st.one_of(st.integers(0, 3), _junk)
+    return st.tuples(
+        st.just(name), st.one_of(st.sampled_from((M, ML)), _junk),
+        st.fixed_dictionaries(
+            {p.name: value for p in params if p.default is p.empty},
+            optional={p.name: value for p in params if p.default is not p.empty}),
+    )
+
+
+# Every field valid, on a tiny grid; bad extra points are still valid.
+_fields = {
+    "ks": st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    "genfunc_ks": st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    "n_max": st.integers(1, 3),
+    "specialized_n_max": st.integers(1, 3),
+    "ij_max": st.integers(0, 2),
+    "genfunc_terms": st.integers(2, 8),
+    "families": st.lists(st.sampled_from((M, ML)), min_size=1, max_size=2).map(tuple),
+    "identities": st.lists(st.sampled_from(IDENTITIES), max_size=3).map(tuple),
+    "include_specialized": st.booleans(),
+    "extra_points": st.lists(st.sampled_from(IDENTITIES).flatmap(_extra_point),
+                             max_size=2).map(tuple),
+}
 
 
 class TestCatalan:
@@ -204,7 +244,7 @@ class TestRightSideCores:
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
-                verify._ab_ba_quad, verify._ab_ba_k1, verify._catalan_core,
+                verify._products, verify._catalan_core,
                 verify._cassini_core, verify._docagne_core, verify._vajda_core]
         bounded = cold[:4]
         needed = [0] * len(bounded)
@@ -214,7 +254,8 @@ class TestRightSideCores:
                 cache.cache_clear()
             run_grid(cfg)
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
-        assert needed == [490, 362, 5, 5]
+        # _products: five general k plus the k = 1 specialized split
+        assert needed == [490, 362, 5, 6]
         for cache, n in zip(bounded, needed):
             assert cache.cache_info().maxsize >= 2 * n
         # oct_seq caches the same keys, so seq_window's own cache only missed
@@ -274,23 +315,53 @@ class TestGrid:
         assert sum(n for _, n in expected.values()) == 437
 
     def test_malformed_config_rejected(self):
-        with pytest.raises(ConfigError):
-            run_grid(GridConfig(ks=()))
-        with pytest.raises(ConfigError):
-            run_grid(GridConfig(identities=("nope",)))
-        with pytest.raises(ConfigError):
-            run_grid(GridConfig(extra_points=(("nope", M, {}),)))
+        for kwargs in (
+            {"ks": ()},
+            {"identities": ("nope",)},
+            {"extra_points": (("nope", M, {}),)},
+            # a field of the wrong type
+            {"ks": ("a",)}, {"ks": (1.5,)}, {"ks": (True,)}, {"ks": 3},
+            {"genfunc_ks": ("1",)}, {"n_max": "3"}, {"specialized_n_max": 2.0},
+            {"ij_max": None}, {"genfunc_terms": "8"}, {"include_specialized": "no"},
+            {"identities": (1, "nope")}, {"extra_points": (1,)},
+            {"extra_points": (("binet", M, {1: 2, "k": 2}),)},
+            # genfunc_ks below 1, with genfunc_ordinary selected
+            {"genfunc_ks": (0,)},
+        ):
+            with pytest.raises(ConfigError):
+                run_grid(GridConfig(**kwargs))
 
     def test_bad_extra_points_reported_not_fatal(self):
         cfg = GridConfig(
             ks=(2,), n_max=2, ij_max=1, identities=("cassini",),
             include_specialized=False,
-            extra_points=(("catalan", M, {"k": 2, "n": 1, "r": 5}),),
+            extra_points=(
+                ("catalan", M, {"k": 2, "n": 1, "r": 5}),
+                # integer parameters that are not ints (a bool k too),
+                # and a specialized that is not a bool
+                ("binet", M, {"k": "2", "n": 1}),
+                ("binet", M, {"k": 2, "n": "1"}),
+                ("binet", M, {"k": True, "n": 1}),
+                ("catalan", M, {"k": 2, "n": 3, "r": 1.0}),
+                ("catalan", M, {"k": 1, "n": 1, "r": 1, "specialized": [1]}),
+            ),
         )
         report = run_grid(cfg)
-        assert len(report.input_errors) == 1
-        assert report.input_errors[0]["identity"] == "catalan"
+        assert sorted(e["identity"] for e in report.input_errors) == [
+            "binet", "binet", "binet", "catalan", "catalan", "catalan",
+        ]
         assert report.summary["PASS"] > 0
+        json.loads(report.to_json())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries(_fields),
+           st.dictionaries(st.sampled_from(sorted(_fields)), _junk, max_size=2))
+    def test_fuzzed_config_gives_report_or_config_error(self, fields, broken):
+        try:
+            report = run_grid(GridConfig(**{**fields, **broken}))
+        except ConfigError:
+            return
+        json.loads(report.to_json())
 
     def test_report_deterministic(self):
         cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2, genfunc_terms=8)
