@@ -110,14 +110,13 @@ def cmd_oct(args) -> int:
 def cmd_verify(args) -> int:
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
-    n_max = max(ns)
     cfg = GridConfig(
         ks=tuple(ks),
-        n_max=n_max,
-        specialized_n_max=min(20, n_max) if n_max >= 1 else 1,
+        n_max=max(ns),
         ij_max=args.ij_max,
         families=_FAMILIES[args.family],
-        identities=tuple(args.identities.split(",")) if args.identities else IDENTITIES,
+        identities=(IDENTITIES if args.identities is None
+                    else tuple(args.identities.split(","))),
         include_specialized=not args.no_specialized,
     )
     try:

@@ -162,10 +162,6 @@ class QuadElem:
         exactly the rational elements."""
         return _new(self.k, self.a + 3 * self.k * self.b, -self.b)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def rational(self) -> Fraction:
         """Rational value, as a Fraction, of an element with zero
         L-coordinate."""

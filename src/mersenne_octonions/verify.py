@@ -18,7 +18,6 @@ derivation actually yields (see DISCREPANCIES below).
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -92,7 +91,7 @@ class CheckResult:
         return {
             "identity": self.identity,
             "family": self.family.value,
-            "params": {k: self.params[k] for k in sorted(self.params)},
+            "params": dict(self.params),
             "status": self.status.value,
             "residual": residual,
             "note": self.note,
@@ -163,13 +162,17 @@ def _identity(points):
     return register
 
 
+_SPECIALIZED_N_MAX = 20
+
+
 def _passes(cfg):
     """(k, n_max, specialized) for the general pass at each k, then for
-    the specialized pass at k = 1 of the identities that have one."""
+    the specialized pass at k = 1, up to n = min(20, n_max), of the
+    identities that have one."""
     for k in cfg.ks:
         yield k, cfg.n_max, False
         if k == 1 and cfg.include_specialized:
-            yield k, cfg.specialized_n_max, True
+            yield k, min(_SPECIALIZED_N_MAX, cfg.n_max), True
 
 
 # --- Binet closed form and norm --------------------------------------
@@ -207,13 +210,13 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 
 # The right-side core caches are bounded so that a long-lived process
 # stays small; each bound holds every key of the default grid (584
-# Catalan, 24 Cassini, 250 d'Ocagne and 108 Vajda cores).
+# Catalan, 250 d'Ocagne and 108 Vajda cores).
 
 @lru_cache(maxsize=2048)
 def _catalan_core(family: Family, k: int, r: int, ordering: str,
                   specialized: bool) -> Octonion:
-    """Right side with the 2^(n-r) (general) or 2^n (specialized)
-    prefactor stripped; always integer-coordinated."""
+    """Right side with the prefactor 2^(n-r) stripped, in the general
+    and the specialized form; always integer-coordinated."""
     ab, ba = _products(k, specialized)
     if specialized:
         half_r = Fraction(1, 2**r)
@@ -258,35 +261,15 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     return _result("catalan", family, params, lhs, rhs)
 
 
-@lru_cache(maxsize=128)
-def _cassini_core(family: Family, k: int, ordering: str,
-                  specialized: bool) -> Octonion:
-    """Right side with the 2^(n-1) prefactor stripped."""
-    ab, ba = _products(k, specialized)
-    if specialized:
-        x, y = (ab, ba) if ordering == "lr" else (ba, ab)
-        if family is Family.MERSENNE:
-            return y - x.scale(2)
-        return x.scale(2) - y
-    p1 = _lam_pow(k, 2)
-    p2 = p1.conj()
-    if ordering == "rl":
-        p1, p2 = p2, p1
-    if family is Family.MERSENNE:
-        core = ab.scale(2 - p1) + ba.scale(2 - p2)
-        core = core.scale(Fraction(1, discriminant(k)))
-    else:
-        core = ab.scale(p1 - 2) + ba.scale(p2 - 2)
-    return project_rational(core)
-
-
 @_identity(lambda cfg: ({"k": k, "n": n, "ordering": o, "specialized": sp}
                         for k, n_hi, sp in _passes(cfg) for n in range(1, n_hi + 1)
                         for o in _ORDERINGS))
 def check_cassini(family: Family, k: int, n: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
-    """The r=1 Catalan case, computed directly from the Cassini
-    statement rather than by delegating to check_catalan.
+    """The r=1 Catalan case: the left side is computed from the Cassini
+    statement, S[n+1]S[n-1] - S[n]^2 ("lr") or S[n-1]S[n+1] - S[n]^2
+    ("rl"), and the right side is the Catalan core at r=1 scaled by
+    2^(n-1).
 
     The specialized Mersenne-Lucas forms carry a stated prefactor of
     2^n; the derivation gives 2^(n-1), which is what is verified (see
@@ -299,7 +282,7 @@ def check_cassini(family: Family, k: int, n: int,
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     prev, nxt, mid = oct_seq(family, k, n - 1), oct_seq(family, k, n + 1), oct_seq(family, k, n)
     lhs = (nxt * prev if ordering == "lr" else prev * nxt) - mid * mid
-    rhs = _cassini_core(family, k, ordering, specialized).scale(2 ** (n - 1))
+    rhs = _catalan_core(family, k, 1, ordering, specialized).scale(2 ** (n - 1))
     note = ""
     if specialized and family is Family.MERSENNE_LUCAS:
         note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
@@ -387,7 +370,12 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
 
 # --- Generating function and finite sum ------------------------------
 
-@_identity(lambda cfg: ({"k": k, "terms": cfg.genfunc_terms} for k in cfg.genfunc_ks))
+_GENFUNC_K_MAX = 3
+_GENFUNC_TERMS = 32
+
+
+@_identity(lambda cfg: ({"k": k, "terms": _GENFUNC_TERMS}
+                        for k in cfg.ks if k <= _GENFUNC_K_MAX))
 def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
     """Expand (S0 + x(S1 - 3k S0)) / (1 - 3kx + 2x^2) and compare the
     first `terms` coefficients with the sequence octonions.
@@ -474,30 +462,28 @@ BOTH_FAMILIES = (Family.MERSENNE, Family.MERSENNE_LUCAS)
 class GridConfig:
     """Cartesian parameter ranges for a verification run.
 
-    The defaults cover k in 1..5 with n up to 24 (specialized k=1 forms
-    up to 20), r up to n, i and j up to 8, and 32 generating-function
-    coefficients for k up to 3.
+    Every identity runs over one k axis, ks, with n up to n_max (r up
+    to n, i and j up to ij_max), except the generating function, which
+    is expanded to 32 coefficients at each k of ks up to 3.  With
+    include_specialized, the k = 1 specialized forms run as a second
+    pass up to n = min(20, n_max).  The defaults cover k in 1..5 with n
+    up to 24 and i, j up to 8.
     """
 
     ks: tuple = (1, 2, 3, 4, 5)
     n_max: int = 24
     ij_max: int = 8
-    specialized_n_max: int = 20
-    genfunc_ks: tuple = (1, 2, 3)
-    genfunc_terms: int = 32
     families: tuple = BOTH_FAMILIES
     identities: tuple = IDENTITIES
     include_specialized: bool = True
-    extra_points: tuple = ()
 
     def validate(self):
-        for name in ("ks", "genfunc_ks", "families", "identities", "extra_points"):
+        for name in ("ks", "families", "identities"):
             if not isinstance(getattr(self, name), tuple):
                 raise ConfigError(f"{name} must be a tuple")
-        for name in ("ks", "genfunc_ks"):
-            if not all(map(_is_int, getattr(self, name))):
-                raise ConfigError(f"{name} must hold integers")
-        for name in ("n_max", "specialized_n_max", "ij_max", "genfunc_terms"):
+        if not all(map(_is_int, self.ks)):
+            raise ConfigError("ks must hold integers")
+        for name in ("n_max", "ij_max"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
         if not isinstance(self.include_specialized, bool):
@@ -513,20 +499,15 @@ class GridConfig:
         unknown = {str(i) for i in self.identities if i not in IDENTITIES}
         if unknown:
             raise ConfigError(f"unknown identities: {sorted(unknown)}")
-        if self.n_max < 1 or self.specialized_n_max < 1:
-            raise ConfigError("n_max and specialized_n_max must be >= 1")
+        # a repeated entry would run, and report, the same points twice
+        for name in ("ks", "families", "identities"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats an entry: {values!r}")
+        if self.n_max < 1:
+            raise ConfigError("n_max must be >= 1")
         if self.ij_max < 0:
             raise ConfigError("ij_max must be >= 0")
-        if "genfunc_ordinary" in self.identities:
-            if self.genfunc_terms < 2:
-                raise ConfigError("genfunc_terms must be >= 2")
-            if any(k < 1 for k in self.genfunc_ks):
-                raise ConfigError("genfunc_ks must hold integers >= 1")
-        for point in self.extra_points:
-            if (not isinstance(point, tuple) or len(point) != 3
-                    or point[0] not in IDENTITIES or not isinstance(point[2], dict)
-                    or not all(isinstance(key, str) for key in point[2])):
-                raise ConfigError(f"malformed extra point: {point!r}")
 
 
 def _grid_points(cfg: GridConfig):
@@ -538,8 +519,8 @@ def _grid_points(cfg: GridConfig):
 def _input_error(identity, family, params, message) -> dict:
     return {
         "identity": identity,
-        "family": family.value if isinstance(family, Family) else str(family),
-        "params": {k: params[k] for k in sorted(params)},
+        "family": family.value,
+        "params": params,
         "error": message,
     }
 
@@ -571,7 +552,7 @@ class VerificationReport:
         return {
             "tool": "mersenne-octonions",
             "version": __version__,
-            "summary": dict(sorted(self.summary.items())),
+            "summary": dict(self.summary),
             "discrepancies": list(self.discrepancies),
             "input_errors": list(self.input_errors),
             "results": [r.to_dict() for r in self.results],
@@ -630,13 +611,6 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     cfg = cfg or GridConfig()
     cfg.validate()
     points = _grid_points(cfg)
-    outcomes = []
-    for point in cfg.extra_points:
-        try:  # a keyword the check does not take, or lacks, is an input error
-            inspect.signature(_CHECKS[point[0]]).bind(point[1], **point[2])
-            points.append(point)
-        except TypeError as exc:
-            outcomes.append(_input_error(*point, str(exc)))
     workers = _max_workers()
     if workers > 1 and len(points) > 1:
         chunks = [points[i::workers] for i in range(workers)]
@@ -645,10 +619,10 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=use_basis_table,
                                  initargs=(active_basis_table(),)) as pool:
-            outcomes += [r for chunk in pool.map(_evaluate_chunk, chunks)
-                         for r in chunk]
+            outcomes = [r for chunk in pool.map(_evaluate_chunk, chunks)
+                        for r in chunk]
     else:
-        outcomes += [_evaluate_point(p) for p in points]
+        outcomes = [_evaluate_point(p) for p in points]
     results = sorted(
         (o for o in outcomes if isinstance(o, CheckResult)),
         key=CheckResult.sort_key,

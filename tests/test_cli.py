@@ -96,6 +96,25 @@ class TestVerify:
         assert doc["summary"]["SKIPPED"] > 0
         assert doc["summary"]["PASS"] == 0
 
+    @pytest.mark.parametrize("identities", ["cassini,cassini", ""])
+    def test_repeated_or_empty_identities_are_usage_errors(self, capsys, identities):
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "2", "--n", "0..2", "--identities", identities,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_genfunc_follows_k(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--k", "2..4", "--n", "0..2",
+            "--identities", "genfunc_ordinary", "--format", "json",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert sorted({r["params"]["k"] for r in results}) == [2, 3]
+        assert {r["params"]["terms"] for r in results} == {32}
+
     def test_corrupted_table_fails(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "2", "--n", "1..3",

@@ -3,7 +3,6 @@
 import collections
 import dataclasses
 import hashlib
-import inspect
 import json
 import random
 
@@ -33,41 +32,23 @@ from mersenne_octonions.verify import (
 
 M, ML = Family.MERSENNE, Family.MERSENNE_LUCAS
 
-# What a GridConfig field or a check parameter might be given by
-# mistake: small ints, strings, floats, None, bools, small tuples and
-# (unhashable) lists.
+# What a GridConfig field might be given by mistake: small ints,
+# strings, floats, None, bools, small tuples and (unhashable) lists.
 _scalar = st.one_of(st.integers(-2, 3), st.text(max_size=3), st.floats(),
                     st.none(), st.booleans())
 _small = st.lists(_scalar, max_size=2)
 _junk = st.one_of(_scalar, _small.map(tuple), _small)
 
 
-def _extra_point(name):
-    """A point for check_<name> with each keyword it takes (its optional
-    ones maybe left out), each a small int or anything else."""
-    params = list(inspect.signature(verify._CHECKS[name]).parameters.values())[1:]
-    value = st.one_of(st.integers(0, 3), _junk)
-    return st.tuples(
-        st.just(name), st.one_of(st.sampled_from((M, ML)), _junk),
-        st.fixed_dictionaries(
-            {p.name: value for p in params if p.default is p.empty},
-            optional={p.name: value for p in params if p.default is not p.empty}),
-    )
-
-
-# Every field valid, on a tiny grid; bad extra points are still valid.
+# Every field valid, on a tiny grid.
 _fields = {
-    "ks": st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
-    "genfunc_ks": st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    "ks": st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True).map(tuple),
     "n_max": st.integers(1, 3),
-    "specialized_n_max": st.integers(1, 3),
     "ij_max": st.integers(0, 2),
-    "genfunc_terms": st.integers(2, 8),
-    "families": st.lists(st.sampled_from((M, ML)), min_size=1, max_size=2).map(tuple),
-    "identities": st.lists(st.sampled_from(IDENTITIES), max_size=3).map(tuple),
+    "families": st.lists(st.sampled_from((M, ML)), min_size=1, max_size=2,
+                         unique=True).map(tuple),
+    "identities": st.lists(st.sampled_from(IDENTITIES), max_size=3, unique=True).map(tuple),
     "include_specialized": st.booleans(),
-    "extra_points": st.lists(st.sampled_from(IDENTITIES).flatmap(_extra_point),
-                             max_size=2).map(tuple),
 }
 
 
@@ -104,13 +85,14 @@ class TestCassini:
 
     def test_equals_catalan_at_r1(self):
         rnd = random.Random(42)
-        for _ in range(20):
-            family = rnd.choice([M, ML])
-            k = rnd.randint(1, 5)
-            n = rnd.randint(1, 12)
-            ordering = rnd.choice(["lr", "rl"])
-            a = check_cassini(family, k, n, ordering)
-            b = check_catalan(family, k, n, 1, ordering)
+        cases = [(rnd.choice([M, ML]), rnd.randint(1, 5), rnd.randint(1, 12),
+                  rnd.choice(["lr", "rl"]), False) for _ in range(20)]
+        # and the specialized k = 1 forms, at every key of their core
+        cases += [(family, 1, n, ordering, True) for family in (M, ML)
+                  for ordering in ("lr", "rl") for n in (1, 2, 7)]
+        for family, k, n, ordering, sp in cases:
+            a = check_cassini(family, k, n, ordering, specialized=sp)
+            b = check_catalan(family, k, n, 1, ordering, specialized=sp)
             assert a.status is b.status is Status.PASS
             assert a.residual == b.residual
 
@@ -196,6 +178,22 @@ class TestFiniteSum:
             check_finite_sum(M, 2, 3, form="specialized")
 
 
+class TestCheckCommon:
+    def test_bad_parameters_raise_param_error(self):
+        # every guard in _check_common, and a relational condition; a
+        # string family is in TestGrid::test_string_family_is_an_input_error
+        for check, args, kwargs in (
+            (check_binet, (M, "2", 1), {}),
+            (check_binet, (M, 2, "1"), {}),
+            (check_binet, (M, True, 1), {}),
+            (check_catalan, (M, 2, 3, 1.0), {}),
+            (check_catalan, (M, 1, 1, 1), {"specialized": [1]}),
+            (check_catalan, (M, 2, 1, 5), {}),
+        ):
+            with pytest.raises(ParamError):
+                check(*args, **kwargs)
+
+
 class TestOtherChecks:
     def test_binet(self):
         assert check_binet(ML, 4, 7).status is Status.PASS
@@ -219,22 +217,19 @@ class TestRightSideCores:
 
     def test_caches_hold_the_default_grid(self, monkeypatch):
         # one key per distinct core the default grid asks for
-        keys = {name: set() for name in ("catalan", "cassini", "docagne", "vajda")}
+        keys = {name: set() for name in ("catalan", "docagne", "vajda")}
         for name, family, p in verify._grid_points(GridConfig()):
             sp = p.get("specialized")
             if name == "catalan":
                 keys[name].add((family, p["k"], p["r"], p["ordering"], sp))
-            elif name == "cassini":
-                keys[name].add((family, p["k"], p["ordering"], sp))
             elif name == "docagne" and not sp:
                 keys[name].add((family, p["k"], p["n"] - p["r"]))
             elif name == "vajda":
                 keys[name].add((family, p["k"], p["j"], sp))
         assert {n: len(v) for n, v in keys.items()} == {
-            "catalan": 584, "cassini": 24, "docagne": 250, "vajda": 108,
+            "catalan": 584, "docagne": 250, "vajda": 108,
         }
         for name, cache in (("catalan", verify._catalan_core),
-                            ("cassini", verify._cassini_core),
                             ("docagne", verify._docagne_core),
                             ("vajda", verify._vajda_core)):
             maxsize = cache.cache_info().maxsize
@@ -245,7 +240,7 @@ class TestRightSideCores:
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
                 verify._products, verify._catalan_core,
-                verify._cassini_core, verify._docagne_core, verify._vajda_core]
+                verify._docagne_core, verify._vajda_core]
         bounded = cold[:4]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
@@ -279,7 +274,7 @@ class TestCorruptedTable:
 
 class TestGrid:
     def test_empty_identities_gives_empty_report(self):
-        report = run_grid(GridConfig(identities=(), extra_points=()))
+        report = run_grid(GridConfig(identities=()))
         assert report.results == ()
         assert report.summary == {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
 
@@ -297,61 +292,39 @@ class TestGrid:
 
     def test_grid_point_counts(self):
         # pins the enumeration of every identity's parameter space,
-        # including Cassini's n >= 1, genfunc_ordinary's own k axis and
-        # finite_sum's k = 1 form running up to n_max
-        b = GridConfig(ks=(1, 3), n_max=7, specialized_n_max=4, ij_max=2,
-                       genfunc_ks=(2,), genfunc_terms=5)
-        c = dataclasses.replace(b, include_specialized=False, families=(ML,))
+        # including Cassini's n >= 1, genfunc_ordinary at the k <= 3 of
+        # ks, the specialized pass up to min(20, n_max) and finite_sum's
+        # k = 1 form running up to n_max
+        b = GridConfig(ks=(1, 2, 4), n_max=22, ij_max=2)
+        c = dataclasses.replace(b, n_max=7, families=(ML,))
+        d = GridConfig(ks=(1, 3), n_max=7, ij_max=2, include_specialized=False,
+                       families=(ML,))
         expected = {
-            "binet": (42, 16), "cassini": (72, 28), "catalan": (348, 144),
-            "docagne": (174, 72), "finite_sum": (48, 16),
-            "genfunc_ordinary": (2, 1), "norm_closed": (32, 16),
-            "vajda": (378, 144),
+            "binet": (180, 32, 16), "cassini": (344, 56, 28),
+            "catalan": (4236, 288, 144), "docagne": (2118, 144, 72),
+            "finite_sum": (184, 32, 16), "genfunc_ordinary": (4, 2, 2),
+            "norm_closed": (138, 24, 16), "vajda": (1620, 288, 144),
         }
-        for col, cfg in enumerate((b, c)):
+        for col, cfg in enumerate((b, c, d)):
             counts = collections.Counter(name for name, _, _ in verify._grid_points(cfg))
             assert counts == {name: n[col] for name, n in expected.items()}
-        assert sum(n for n, _ in expected.values()) == 1096
-        assert sum(n for _, n in expected.values()) == 437
+        assert [sum(n[col] for n in expected.values()) for col in range(3)] == [8824, 866, 438]
 
     def test_malformed_config_rejected(self):
         for kwargs in (
             {"ks": ()},
             {"identities": ("nope",)},
-            {"extra_points": (("nope", M, {}),)},
+            # an empty name, as `--identities ""` gives
+            {"identities": ("",)},
+            # a repeated entry
+            {"ks": (2, 2)}, {"families": (M, M)}, {"identities": ("cassini", "cassini")},
             # a field of the wrong type
             {"ks": ("a",)}, {"ks": (1.5,)}, {"ks": (True,)}, {"ks": 3},
-            {"genfunc_ks": ("1",)}, {"n_max": "3"}, {"specialized_n_max": 2.0},
-            {"ij_max": None}, {"genfunc_terms": "8"}, {"include_specialized": "no"},
-            {"identities": (1, "nope")}, {"extra_points": (1,)},
-            {"extra_points": (("binet", M, {1: 2, "k": 2}),)},
-            # genfunc_ks below 1, with genfunc_ordinary selected
-            {"genfunc_ks": (0,)},
+            {"n_max": "3"}, {"n_max": 2.0}, {"ij_max": None},
+            {"include_specialized": "no"}, {"identities": (1, "nope")},
         ):
             with pytest.raises(ConfigError):
                 run_grid(GridConfig(**kwargs))
-
-    def test_bad_extra_points_reported_not_fatal(self):
-        cfg = GridConfig(
-            ks=(2,), n_max=2, ij_max=1, identities=("cassini",),
-            include_specialized=False,
-            extra_points=(
-                ("catalan", M, {"k": 2, "n": 1, "r": 5}),
-                # integer parameters that are not ints (a bool k too),
-                # and a specialized that is not a bool
-                ("binet", M, {"k": "2", "n": 1}),
-                ("binet", M, {"k": 2, "n": "1"}),
-                ("binet", M, {"k": True, "n": 1}),
-                ("catalan", M, {"k": 2, "n": 3, "r": 1.0}),
-                ("catalan", M, {"k": 1, "n": 1, "r": 1, "specialized": [1]}),
-            ),
-        )
-        report = run_grid(cfg)
-        assert sorted(e["identity"] for e in report.input_errors) == [
-            "binet", "binet", "binet", "catalan", "catalan", "catalan",
-        ]
-        assert report.summary["PASS"] > 0
-        json.loads(report.to_json())
 
     @settings(max_examples=100, deadline=None)
     @given(st.fixed_dictionaries(_fields),
@@ -364,27 +337,10 @@ class TestGrid:
         json.loads(report.to_json())
 
     def test_report_deterministic(self):
-        cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2, genfunc_terms=8)
+        cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2)
         a = run_grid(cfg)
         b = run_grid(cfg)
         assert a.to_json() == b.to_json()
-
-    def test_bad_extra_point_keywords_reported_not_fatal(self):
-        extra = (
-            ("catalan", M, {"k": 2, "n": 1, "r": 1, "x": 0}),
-            ("catalan", M, {"k": 2, "n": 1}),
-            ("vajda", M, {"k": 2, "n": 1, "i": 1, "j": 1}),
-        )
-        cfg = GridConfig(ks=(2,), n_max=2, identities=("cassini",),
-                         include_specialized=False, extra_points=extra)
-        report = run_grid(cfg)
-        assert sorted(e["error"] for e in report.input_errors) == [
-            "got an unexpected keyword argument 'x'",
-            "missing a required argument: 'r'",
-        ]
-        assert report.summary == {"PASS": 9, "FAIL": 0, "SKIPPED": 0}
-        with pytest.raises(ConfigError):
-            run_grid(GridConfig(extra_points=(("catalan", M, [2, 1, 1]),)))
 
     def test_string_family_is_an_input_error(self, run_fresh):
         # in a fresh interpreter, so that a regression cannot fill this
@@ -401,14 +357,10 @@ class TestGrid:
                     assert "not a family" in str(exc), exc
                 else:
                     raise AssertionError(f"{name} took a string family")
-            extra = (("catalan", "mersenne", {"k": 2, "n": 3, "r": 1}),)
-            cfg = GridConfig(ks=(2,), n_max=3, ij_max=1, include_specialized=False,
-                             extra_points=extra)
-            report = run_grid(cfg)
+            report = run_grid(GridConfig(ks=(2,), n_max=3, ij_max=1,
+                                         include_specialized=False))
             assert report.summary["FAIL"] == 0, report.summary
-            (error,) = report.input_errors
-            assert error["family"] == "mersenne", error
-            assert "not a family" in error["error"], error
+            assert not report.input_errors, report.input_errors
         """)
         assert proc.returncode == 0, proc.stderr
 
@@ -446,7 +398,7 @@ class TestGrid:
         assert "discrepancy ledger:" in table
 
     def test_parallel_run_matches_serial(self, monkeypatch):
-        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1, genfunc_terms=4)
+        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         serial = run_grid(cfg)
         monkeypatch.setenv("MERSOCT_MAX_WORKERS", "2")
         parallel = run_grid(cfg)
