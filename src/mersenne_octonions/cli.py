@@ -117,7 +117,6 @@ def cmd_verify(args) -> int:
         families=_FAMILIES[args.family],
         identities=(IDENTITIES if args.identities is None
                     else tuple(args.identities.split(","))),
-        include_specialized=not args.no_specialized,
     )
     try:
         with corrupted_basis_table() if args.corrupt_table else nullcontext():
@@ -197,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=sorted(_FAMILIES), default="both")
     sp.add_argument("--identities", default=None,
                     help="comma-separated subset, e.g. catalan,cassini")
-    sp.add_argument("--no-specialized", action="store_true",
-                    help="skip the k=1 specialized forms")
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.add_argument("--corrupt-table", action="store_true",
                     help=argparse.SUPPRESS)  # mutation test hook

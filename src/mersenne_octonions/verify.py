@@ -19,6 +19,7 @@ derivation actually yields (see DISCREPANCIES below).
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -171,7 +172,7 @@ def _passes(cfg):
     identities that have one."""
     for k in cfg.ks:
         yield k, cfg.n_max, False
-        if k == 1 and cfg.include_specialized:
+        if k == 1:
             yield k, min(_SPECIALIZED_N_MAX, cfg.n_max), True
 
 
@@ -464,10 +465,10 @@ class GridConfig:
 
     Every identity runs over one k axis, ks, with n up to n_max (r up
     to n, i and j up to ij_max), except the generating function, which
-    is expanded to 32 coefficients at each k of ks up to 3.  With
-    include_specialized, the k = 1 specialized forms run as a second
-    pass up to n = min(20, n_max).  The defaults cover k in 1..5 with n
-    up to 24 and i, j up to 8.
+    is expanded to 32 coefficients at each k of ks up to 3.  When ks
+    holds 1, the k = 1 specialized forms run as a second pass up to
+    n = min(20, n_max).  The defaults cover k in 1..5 with n up to 24
+    and i, j up to 8.
     """
 
     ks: tuple = (1, 2, 3, 4, 5)
@@ -475,7 +476,6 @@ class GridConfig:
     ij_max: int = 8
     families: tuple = BOTH_FAMILIES
     identities: tuple = IDENTITIES
-    include_specialized: bool = True
 
     def validate(self):
         for name in ("ks", "families", "identities"):
@@ -486,8 +486,6 @@ class GridConfig:
         for name in ("n_max", "ij_max"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
-        if not isinstance(self.include_specialized, bool):
-            raise ConfigError("include_specialized must be a bool")
         if not self.ks or min(self.ks) < 1:
             raise ConfigError("ks must be a non-empty tuple of integers >= 1")
         if not self.families:
@@ -516,45 +514,35 @@ def _grid_points(cfg: GridConfig):
             for family in cfg.families for params in _GRIDS[name](cfg)]
 
 
-def _input_error(identity, family, params, message) -> dict:
-    return {
-        "identity": identity,
-        "family": family.value,
-        "params": params,
-        "error": message,
-    }
-
-
 def _evaluate_point(point):
     identity, family, params = point
-    try:
-        return _CHECKS[identity](family, **params)
-    except ParamError as exc:
-        return _input_error(identity, family, params, str(exc))
-
-
-def _evaluate_chunk(points):
-    return [_evaluate_point(p) for p in points]
+    return _CHECKS[identity](family, **params)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     results: tuple
-    input_errors: tuple
-    summary: dict
     discrepancies = DISCREPANCIES  # a class constant, not a field
 
     @property
+    def summary(self) -> dict:
+        summary = {s.value: 0 for s in Status}
+        for r in self.results:
+            summary[r.status.value] += 1
+        return summary
+
+    @property
     def failed(self) -> bool:
-        return self.summary.get(Status.FAIL.value, 0) > 0
+        return self.summary[Status.FAIL.value] > 0
 
     def to_dict(self) -> dict:
         return {
             "tool": "mersenne-octonions",
             "version": __version__,
-            "summary": dict(self.summary),
+            "summary": self.summary,
             "discrepancies": list(self.discrepancies),
-            "input_errors": list(self.input_errors),
+            # every grid point meets its check's preconditions
+            "input_errors": [],
             "results": [r.to_dict() for r in self.results],
         }
 
@@ -577,13 +565,11 @@ class VerificationReport:
                 f"{identity:<{width}}  {family:<14}  {tally['PASS']:>6}  "
                 f"{tally['FAIL']:>6}  {tally['SKIPPED']:>7}"
             )
-        total = {s.value: self.summary.get(s.value, 0) for s in Status}
+        total = self.summary
         lines.append(
             f"{'total':<{width}}  {'':<14}  {total['PASS']:>6}  "
             f"{total['FAIL']:>6}  {total['SKIPPED']:>7}"
         )
-        if self.input_errors:
-            lines.append(f"input errors: {len(self.input_errors)}")
         lines.append("")
         lines.append("discrepancy ledger:")
         for d in self.discrepancies:
@@ -604,38 +590,23 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     """Evaluate every enabled identity over the configured grid.
 
     Grid points are independent pure evaluations; with
-    MERSOCT_MAX_WORKERS > 1 they are spread over processes.  The
-    report is sorted by identity and parameters, so its content does
-    not depend on evaluation order.
+    MERSOCT_MAX_WORKERS > 1 they are spread over processes, at most
+    one per CPU and one per point.  The report is sorted by identity
+    and parameters, so its content does not depend on evaluation order.
     """
     cfg = cfg or GridConfig()
     cfg.validate()
     points = _grid_points(cfg)
-    workers = _max_workers()
-    if workers > 1 and len(points) > 1:
-        chunks = [points[i::workers] for i in range(workers)]
+    # a pool starts every worker up front, so the count must be bounded
+    workers = min(_max_workers(), os.cpu_count() or 1, len(points))
+    if workers > 1:
         # the initializer carries the active basis table (the mutation
         # hook's, if it is on) into workers under every start method
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=use_basis_table,
                                  initargs=(active_basis_table(),)) as pool:
-            outcomes = [r for chunk in pool.map(_evaluate_chunk, chunks)
-                        for r in chunk]
+            results = list(pool.map(_evaluate_point, points,
+                                    chunksize=math.ceil(len(points) / workers)))
     else:
-        outcomes = [_evaluate_point(p) for p in points]
-    results = sorted(
-        (o for o in outcomes if isinstance(o, CheckResult)),
-        key=CheckResult.sort_key,
-    )
-    errors = sorted(
-        (o for o in outcomes if not isinstance(o, CheckResult)),
-        key=lambda e: json.dumps(e, sort_keys=True),
-    )
-    summary = {s.value: 0 for s in Status}
-    for r in results:
-        summary[r.status.value] += 1
-    return VerificationReport(
-        results=tuple(results),
-        input_errors=tuple(errors),
-        summary=summary,
-    )
+        results = list(map(_evaluate_point, points))
+    return VerificationReport(tuple(sorted(results, key=CheckResult.sort_key)))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import collections
 import csv
 import io
 import json
@@ -88,13 +89,13 @@ class TestVerify:
     def test_k1_general_finite_sum_all_skipped(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "1", "--n", "0..3",
-            "--identities", "finite_sum", "--no-specialized",
-            "--format", "json",
+            "--identities", "finite_sum", "--format", "json",
         )
         assert code == 0
-        doc = json.loads(out)
-        assert doc["summary"]["SKIPPED"] > 0
-        assert doc["summary"]["PASS"] == 0
+        forms = collections.Counter(
+            (r["params"]["form"], r["status"]) for r in json.loads(out)["results"])
+        # n 0..3 for each of the two families
+        assert forms == {("general", "SKIPPED"): 8, ("specialized", "PASS"): 8}
 
     @pytest.mark.parametrize("identities", ["cassini,cassini", ""])
     def test_repeated_or_empty_identities_are_usage_errors(self, capsys, identities):
@@ -142,6 +143,18 @@ class TestVerify:
             env={**os.environ, "MERSOCT_MAX_WORKERS": "2"}, timeout=300,
         )
         assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_worker_count_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mersenne_octonions.cli",
+             "verify", "--identities", "cassini"],
+            capture_output=True, text=True,
+            env={**os.environ, "MERSOCT_MAX_WORKERS": "x"}, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_report_file_byte_stable(self, tmp_path, capsys):

@@ -110,7 +110,7 @@ class TestFamilyByName:
 
             assert seq_value("mersenne", 2, 3) == 34
             assert oct_seq("mersenne", 2, 0).coords[:4] == (0, 1, 6, 34)
-            cfg = GridConfig(ks=(2,), n_max=3, ij_max=1, include_specialized=False)
+            cfg = GridConfig(ks=(2,), n_max=3, ij_max=1)
             report = run_grid(cfg)
             assert report.summary["FAIL"] == 0, report.summary
             for family in Family:

@@ -48,7 +48,6 @@ _fields = {
     "families": st.lists(st.sampled_from((M, ML)), min_size=1, max_size=2,
                          unique=True).map(tuple),
     "identities": st.lists(st.sampled_from(IDENTITIES), max_size=3, unique=True).map(tuple),
-    "include_specialized": st.booleans(),
 }
 
 
@@ -297,18 +296,17 @@ class TestGrid:
         # k = 1 form running up to n_max
         b = GridConfig(ks=(1, 2, 4), n_max=22, ij_max=2)
         c = dataclasses.replace(b, n_max=7, families=(ML,))
-        d = GridConfig(ks=(1, 3), n_max=7, ij_max=2, include_specialized=False,
-                       families=(ML,))
+        d = GridConfig(ks=(1, 3), n_max=7, ij_max=2, families=(ML,))
         expected = {
-            "binet": (180, 32, 16), "cassini": (344, 56, 28),
-            "catalan": (4236, 288, 144), "docagne": (2118, 144, 72),
-            "finite_sum": (184, 32, 16), "genfunc_ordinary": (4, 2, 2),
-            "norm_closed": (138, 24, 16), "vajda": (1620, 288, 144),
+            "binet": (180, 32, 24), "cassini": (344, 56, 42),
+            "catalan": (4236, 288, 216), "docagne": (2118, 144, 108),
+            "finite_sum": (184, 32, 24), "genfunc_ordinary": (4, 2, 2),
+            "norm_closed": (138, 24, 16), "vajda": (1620, 288, 216),
         }
         for col, cfg in enumerate((b, c, d)):
             counts = collections.Counter(name for name, _, _ in verify._grid_points(cfg))
             assert counts == {name: n[col] for name, n in expected.items()}
-        assert [sum(n[col] for n in expected.values()) for col in range(3)] == [8824, 866, 438]
+        assert [sum(n[col] for n in expected.values()) for col in range(3)] == [8824, 866, 648]
 
     def test_malformed_config_rejected(self):
         for kwargs in (
@@ -321,7 +319,7 @@ class TestGrid:
             # a field of the wrong type
             {"ks": ("a",)}, {"ks": (1.5,)}, {"ks": (True,)}, {"ks": 3},
             {"n_max": "3"}, {"n_max": 2.0}, {"ij_max": None},
-            {"include_specialized": "no"}, {"identities": (1, "nope")},
+            {"identities": (1, "nope")},
         ):
             with pytest.raises(ConfigError):
                 run_grid(GridConfig(**kwargs))
@@ -346,6 +344,8 @@ class TestGrid:
         # in a fresh interpreter, so that a regression cannot fill this
         # session's cached right sides with the other family's values
         proc = run_fresh("""
+            import json
+
             from mersenne_octonions import verify
             from mersenne_octonions.verify import GridConfig, ParamError, run_grid
 
@@ -357,21 +357,20 @@ class TestGrid:
                     assert "not a family" in str(exc), exc
                 else:
                     raise AssertionError(f"{name} took a string family")
-            report = run_grid(GridConfig(ks=(2,), n_max=3, ij_max=1,
-                                         include_specialized=False))
+            report = run_grid(GridConfig(ks=(2,), n_max=3, ij_max=1))
             assert report.summary["FAIL"] == 0, report.summary
-            assert not report.input_errors, report.input_errors
+            assert json.loads(report.to_json())["input_errors"] == []
         """)
         assert proc.returncode == 0, proc.stderr
 
     def test_json_schema(self):
         cfg = GridConfig(
             ks=(2,), n_max=3, ij_max=1, identities=("catalan", "finite_sum"),
-            include_specialized=False,
         )
         doc = json.loads(run_grid(cfg).to_json())
         assert doc["tool"] == "mersenne-octonions"
         assert set(doc["summary"]) == {"PASS", "FAIL", "SKIPPED"}
+        assert doc["input_errors"] == []
         assert len(doc["discrepancies"]) == 3
         for entry in doc["results"]:
             assert entry["status"] in ("PASS", "FAIL", "SKIPPED")
@@ -403,3 +402,37 @@ class TestGrid:
         monkeypatch.setenv("MERSOCT_MAX_WORKERS", "2")
         parallel = run_grid(cfg)
         assert serial.to_json() == parallel.to_json()
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        # a pool starts all its workers up front, so a huge request must
+        # not reach it; the stub pool starts no process
+        pools = []
+
+        class StubPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(self)
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, points, chunksize):
+                assert chunksize * self.max_workers >= len(points)
+                return map(fn, points)
+
+        cfg = GridConfig(ks=(2,), n_max=1, identities=("binet",))  # 4 points
+        serial = run_grid(cfg).to_json()
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setenv("MERSOCT_MAX_WORKERS", "100000")
+        for cpus, workers in ((2, 2), (64, 4)):
+            monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+            assert run_grid(cfg).to_json() == serial
+            assert pools.pop().max_workers == workers
+        # one CPU, or an unknown count, runs serially without a pool
+        for cpus in (1, None):
+            monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+            assert run_grid(cfg).to_json() == serial
+        assert pools == []
