@@ -18,7 +18,7 @@ import argparse
 import csv
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext, suppress
 
 from . import __version__
 from .octonion import corrupted_basis_table
@@ -69,13 +69,23 @@ def _open_out(path: str | None):
 
 @contextmanager
 def _output(path: str | None):
-    """The output stream for path, closed on exit unless it is stdout."""
+    """The output stream for path, flushed on exit and closed unless it
+    is stdout.  A failed write exits 2 with an error; a closed pipe
+    is passed on to main, which exits 2 silently."""
     out, close = _open_out(path)
     try:
-        yield out
-    finally:
-        if close:
-            out.close()
+        with closing(out) if close else nullcontext():
+            yield out
+            out.flush()
+    except OSError as exc:
+        if not close:
+            # drop what stdout still buffers, so that the interpreter's
+            # final flush cannot fail again; fd 1 itself stays open
+            with suppress(OSError):
+                out.close()
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise SystemExit2(f"cannot write output: {exc}")
 
 
 def cmd_seq(args) -> int:

@@ -38,7 +38,7 @@ from .oct_sequences import (
     project_rational,
     _lam_pow,
 )
-from .quadratic import discriminant, div_by_root_diff, root_diff
+from .quadratic import div_by_root_diff, root_diff
 from .sequences import Family, seq_value
 
 DISCREPANCIES = (
@@ -207,39 +207,35 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
     return _result("norm_closed", family, {"k": k, "n": n}, lhs, rhs)
 
 
-# --- Catalan / Cassini ------------------------------------------------
+# --- Catalan, Cassini, d'Ocagne and Vajda ----------------------------
 
-# The right-side core caches are bounded so that a long-lived process
-# stays small; each bound holds every key of the default grid (584
-# Catalan, 250 d'Ocagne and 108 Vajda cores).
+# Catalan, Cassini, d'Ocagne and Vajda are each a difference of products
+# S[a]S[b] - S[c]S[d] with a + b = c + d, so the alpha^2 and beta^2 terms
+# cancel and each right side is one scaling of Vajda's,
+#     S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n M[k,i] _core(j).
+# Products taken in the reverse order are Vajda's identity in the
+# opposite algebra, where alpha beta and beta alpha trade places.  The
+# cache is bounded so that a long-lived process stays small; it holds
+# the 584 cores the default grid asks for.
 
 @lru_cache(maxsize=2048)
-def _catalan_core(family: Family, k: int, r: int, ordering: str,
-                  specialized: bool) -> Octonion:
-    """Right side with the prefactor 2^(n-r) stripped, in the general
-    and the specialized form; always integer-coordinated."""
+def _core(family: Family, k: int, j: int, opposite: bool,
+          specialized: bool) -> Octonion:
+    """Vajda's right side with the scalar 2^n M[k,i] stripped, in the
+    opposite algebra if opposite is set; always integer-coordinated."""
     ab, ba = _products(k, specialized)
+    if opposite:
+        ab, ba = ba, ab
     if specialized:
-        half_r = Fraction(1, 2**r)
-        if family is Family.MERSENNE:
-            f1, f2 = 1 - 2**r, 1 - half_r
-        else:
-            f1, f2 = 2**r - 1, half_r - 1
-        if ordering == "rl":
-            f1, f2 = f2, f1
-        core = ab.scale(f1) + ba.scale(f2)
-        # a factor 2^r is folded back in by the caller via 2^(n-r)
-        return project_rational(core.scale(2**r))
-    p1 = _lam_pow(k, 2 * r)
-    p2 = p1.conj()
-    if ordering == "rl":
-        p1, p2 = p2, p1
+        x = ba.scale(2**j) - ab
+        return x if family is Family.MERSENNE else -x
+    pj = _lam_pow(k, j)
     if family is Family.MERSENNE:
-        core = ab.scale(2**r - p1) + ba.scale(2**r - p2)
-        core = core.scale(Fraction(1, discriminant(k)))
+        x = (ba.scale(pj) - ab.scale(pj.conj())).map_coords(div_by_root_diff)
     else:
-        core = ab.scale(p1 - 2**r) + ba.scale(p2 - 2**r)
-    return project_rational(core)
+        rd = root_diff(k)
+        x = (ab.scale(pj.conj()) - ba.scale(pj)).map_coords(lambda q: q * rd)
+    return project_rational(x)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
@@ -256,8 +252,9 @@ def check_catalan(family: Family, k: int, n: int, r: int,
         raise ParamError(f"need 0 <= r <= n, got r={r}, n={n}")
     lo, hi, mid = oct_seq(family, k, n - r), oct_seq(family, k, n + r), oct_seq(family, k, n)
     lhs = (hi * lo if ordering == "lr" else lo * hi) - mid * mid
-    core = _catalan_core(family, k, r, ordering, specialized)
-    rhs = core.scale(2 ** (n - r))
+    # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
+    core = _core(family, k, r, ordering == "lr", specialized)
+    rhs = core.scale(-(2 ** (n - r)) * seq_value(Family.MERSENNE, k, r))
     params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
     return _result("catalan", family, params, lhs, rhs)
 
@@ -269,8 +266,7 @@ def check_cassini(family: Family, k: int, n: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """The r=1 Catalan case: the left side is computed from the Cassini
     statement, S[n+1]S[n-1] - S[n]^2 ("lr") or S[n-1]S[n+1] - S[n]^2
-    ("rl"), and the right side is the Catalan core at r=1 scaled by
-    2^(n-1).
+    ("rl"), and the right side is Catalan's at r=1.
 
     The specialized Mersenne-Lucas forms carry a stated prefactor of
     2^n; the derivation gives 2^(n-1), which is what is verified (see
@@ -283,31 +279,12 @@ def check_cassini(family: Family, k: int, n: int,
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     prev, nxt, mid = oct_seq(family, k, n - 1), oct_seq(family, k, n + 1), oct_seq(family, k, n)
     lhs = (nxt * prev if ordering == "lr" else prev * nxt) - mid * mid
-    rhs = _catalan_core(family, k, 1, ordering, specialized).scale(2 ** (n - 1))
+    rhs = _core(family, k, 1, ordering == "lr", specialized).scale(-(2 ** (n - 1)))
     note = ""
     if specialized and family is Family.MERSENNE_LUCAS:
         note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
     params = {"k": k, "n": n, "ordering": ordering, "specialized": specialized}
     return _result("cassini", family, params, lhs, rhs, note)
-
-
-# --- d'Ocagne ---------------------------------------------------------
-
-@lru_cache(maxsize=1024)
-def _docagne_core(family: Family, k: int, d: int) -> Octonion:
-    """General right side with the factor 2^min(n, r) stripped; it
-    depends on d = n - r alone.  Since lam1 lam2 = 2, the scalars
-    lam1^r lam2^n and lam1^n lam2^r are 2^r lam2^d and 2^r lam1^d for
-    d >= 0, and 2^n lam1^-d and 2^n lam2^-d for d < 0."""
-    ab, ba = _products(k, False)
-    p = _lam_pow(k, abs(d))
-    s_rn, s_nr = (p.conj(), p) if d >= 0 else (p, p.conj())
-    if family is Family.MERSENNE:
-        x = (ab.scale(s_rn) - ba.scale(s_nr)).map_coords(div_by_root_diff)
-    else:
-        rd = root_diff(k)
-        x = (ba.scale(s_nr) - ab.scale(s_rn)).map_coords(lambda q: q * rd)
-    return project_rational(x)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "specialized": sp}
@@ -321,35 +298,12 @@ def check_docagne(family: Family, k: int, n: int, r: int,
         oct_seq(family, k, r) * oct_seq(family, k, n + 1)
         - oct_seq(family, k, r + 1) * oct_seq(family, k, n)
     )
-    if specialized:
-        ab, ba = _products(k, specialized)
-        if family is Family.MERSENNE:
-            rhs = ab.scale(2**r) - ba.scale(2**n)
-        else:
-            rhs = ba.scale(2**n) - ab.scale(2**r)
-    else:
-        rhs = _docagne_core(family, k, n - r).scale(2 ** min(n, r))
+    if r <= n:  # Vajda at (r, 1, n - r), negated
+        rhs = _core(family, k, n - r, False, specialized).scale(-(2**r))
+    else:  # Vajda at (n, 1, r - n) in the opposite algebra
+        rhs = _core(family, k, r - n, True, specialized).scale(2**n)
     params = {"k": k, "n": n, "r": r, "specialized": specialized}
     return _result("docagne", family, params, lhs, rhs)
-
-
-# --- Vajda ------------------------------------------------------------
-
-@lru_cache(maxsize=512)
-def _vajda_core(family: Family, k: int, j: int, specialized: bool) -> Octonion:
-    """Right side with the scalar factor 2^n * M[k,i] stripped."""
-    ab, ba = _products(k, specialized)
-    if specialized:
-        if family is Family.MERSENNE:
-            return ba.scale(2**j) - ab
-        return ab - ba.scale(2**j)
-    pj = _lam_pow(k, j)
-    if family is Family.MERSENNE:
-        x = (ba.scale(pj) - ab.scale(pj.conj())).map_coords(div_by_root_diff)
-    else:
-        rd = root_diff(k)
-        x = (ab.scale(pj.conj()) - ba.scale(pj)).map_coords(lambda q: q * rd)
-    return project_rational(x)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "i": i, "j": j, "specialized": sp}
@@ -363,7 +317,7 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
         oct_seq(family, k, n + i) * oct_seq(family, k, n + j)
         - oct_seq(family, k, n) * oct_seq(family, k, n + i + j)
     )
-    core = _vajda_core(family, k, j, specialized)
+    core = _core(family, k, j, False, specialized)
     rhs = core.scale(2**n * seq_value(Family.MERSENNE, k, i))
     params = {"k": k, "n": n, "i": i, "j": j, "specialized": specialized}
     return _result("vajda", family, params, lhs, rhs)

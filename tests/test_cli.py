@@ -169,6 +169,35 @@ class TestVerify:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestFailedWrite:
+    # every write to /dev/full fails; the error is reported once, with
+    # no traceback, and the interpreter's final flush of a buffered
+    # stdout must not report it again
+    @pytest.mark.parametrize("argv", [
+        ["seq", "--k", "1", "--n", "0"],
+        ["oct", "--k", "1", "--n", "0"],
+        ["verify", "--identities", "cassini", "--n", "1..2"],
+        ["bench", "--n-values", "10", "--repeat", "1"],
+    ], ids=["seq", "oct", "verify", "bench"])
+    @pytest.mark.parametrize("to", ["file", "stdout", "unbuffered-stdout"])
+    def test_exits_2_with_one_error(self, argv, to):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if to == "unbuffered-stdout":
+            env["PYTHONUNBUFFERED"] = "1"
+        if to == "file":
+            argv = [*argv, "-o", "/dev/full"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mersenne_octonions.cli", *argv],
+                stdout=subprocess.DEVNULL if to == "file" else full,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+            )
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write output: ")
+
+
 class TestBench:
     def test_cross_checked_timing_table(self, capsys):
         code, out, _ = run_cli(

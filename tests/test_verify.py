@@ -132,6 +132,24 @@ class TestVajda:
         assert seq_value(M, 3, 0) == 0
 
 
+class TestProductIdentitiesOffTheGrid:
+    # k, n, r, i and j past the default grid; d'Ocagne also at r > n
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((M, ML)),
+           st.sampled_from([(1, True)] + [(k, False) for k in range(1, 10)]),
+           st.integers(0, 40), st.integers(0, 45), st.integers(0, 12),
+           st.integers(0, 30), st.sampled_from(("lr", "rl")))
+    def test_all_pass(self, family, k_sp, n, r, i, j, ordering):
+        k, sp = k_sp
+        for res in (
+            check_catalan(family, k, n, r % (n + 1), ordering, specialized=sp),
+            check_cassini(family, k, n + 1, ordering, specialized=sp),
+            check_docagne(family, k, n, r, specialized=sp),
+            check_vajda(family, k, n, i, j, specialized=sp),
+        ):
+            assert res.status is Status.PASS, (res.identity, res.params)
+
+
 class TestGenfunc:
     def test_first_coefficient_is_s0(self):
         res = check_genfunc_ordinary(M, 1, 2)
@@ -207,39 +225,39 @@ class TestOtherChecks:
 
 
 class TestRightSideCores:
-    def test_specialized_catalan_core_is_int(self):
+    def test_core_is_int(self):
         for family in (M, ML):
-            for r in range(8):
-                for ordering in ("lr", "rl"):
-                    core = verify._catalan_core(family, 1, r, ordering, True)
-                    assert all(type(c) is int for c in core.coords)
+            for opposite in (False, True):
+                for j in range(8):
+                    for k, sp in ((1, True), (1, False), (2, False), (3, False)):
+                        core = verify._core(family, k, j, opposite, sp)
+                        assert all(type(c) is int for c in core.coords)
 
     def test_caches_hold_the_default_grid(self, monkeypatch):
-        # one key per distinct core the default grid asks for
-        keys = {name: set() for name in ("catalan", "docagne", "vajda")}
+        # one key per distinct core the default grid asks for: Catalan
+        # and Cassini take their products reversed in "lr", d'Ocagne
+        # when r > n
+        keys = set()
         for name, family, p in verify._grid_points(GridConfig()):
-            sp = p.get("specialized")
+            k, sp = p["k"], p.get("specialized")
             if name == "catalan":
-                keys[name].add((family, p["k"], p["r"], p["ordering"], sp))
-            elif name == "docagne" and not sp:
-                keys[name].add((family, p["k"], p["n"] - p["r"]))
+                keys.add((family, k, p["r"], p["ordering"] == "lr", sp))
+            elif name == "cassini":
+                keys.add((family, k, 1, p["ordering"] == "lr", sp))
+            elif name == "docagne":
+                d = p["n"] - p["r"]
+                keys.add((family, k, abs(d), d < 0, sp))
             elif name == "vajda":
-                keys[name].add((family, p["k"], p["j"], sp))
-        assert {n: len(v) for n, v in keys.items()} == {
-            "catalan": 584, "docagne": 250, "vajda": 108,
-        }
-        for name, cache in (("catalan", verify._catalan_core),
-                            ("docagne", verify._docagne_core),
-                            ("vajda", verify._vajda_core)):
-            maxsize = cache.cache_info().maxsize
-            assert maxsize is not None and maxsize >= len(keys[name])
+                keys.add((family, k, p["j"], False, sp))
+        assert len(keys) == 584
+        maxsize = verify._core.cache_info().maxsize
+        assert maxsize is not None and maxsize >= len(keys)
         # the caches below are pinned by the most keys one command fills,
         # measured from cold caches: the default grid, and a verify at
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
-                verify._products, verify._catalan_core,
-                verify._docagne_core, verify._vajda_core]
+                verify._products, verify._core]
         bounded = cold[:4]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
@@ -247,6 +265,9 @@ class TestRightSideCores:
             for cache in cold:
                 cache.cache_clear()
             run_grid(cfg)
+            if cfg == GridConfig():
+                # the grid fills exactly the keys derived above
+                assert verify._core.cache_info().currsize == len(keys)
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
         # _products: five general k plus the k = 1 specialized split
         assert needed == [490, 362, 5, 6]
@@ -264,6 +285,18 @@ class TestCorruptedTable:
             res = check_catalan(M, 2, 4, 2, "lr")
         assert res.status is Status.FAIL
         assert not res.residual.is_zero()
+
+    def test_every_sign_flip_fails_the_product_identities(self):
+        # Binet, norm, the generating function and the finite sum take
+        # no octonion product, so they cannot see the table
+        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
+        assert len(verify._grid_points(cfg)) == 380
+        for i in range(8):
+            for j in range(8):
+                with corrupted_basis_table(i, j):
+                    report = run_grid(cfg)
+                failed = {r.identity for r in report.results if r.status is Status.FAIL}
+                assert failed == {"catalan", "cassini", "docagne", "vajda"}, (i, j)
 
     def test_clean_after_corruption(self):
         with corrupted_basis_table():
