@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import time
 from contextlib import closing, contextmanager, nullcontext, suppress
+from itertools import islice
 
 from . import __version__
 from .octonion import corrupted_basis_table
-from .oct_sequences import oct_seq
-from .sequences import Family, seq_fast, seq_value
+from .sequences import Family, seq_fast, seq_terms, seq_value
 from .verify import IDENTITIES, ConfigError, GridConfig, run_grid
 
 EXIT_OK = 0
@@ -39,12 +40,9 @@ _FAMILIES = {
 
 def _parse_range(spec: str, what: str, lo: int) -> range:
     """Parse 'A..B' or a single integer into an inclusive range."""
+    a, sep, b = spec.partition("..")
     try:
-        if ".." in spec:
-            a, b = spec.split("..", 1)
-            start, stop = int(a), int(b)
-        else:
-            start = stop = int(spec)
+        start, stop = int(a), int(b if sep else a)
     except ValueError:
         raise SystemExit2(f"invalid {what} range: {spec!r}")
     if start < lo or stop < start:
@@ -60,6 +58,9 @@ class SystemExit2(SystemExit):
 
 def _open_out(path: str | None):
     if path is None or path == "-":
+        if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+            # unbuffered (python -u): a raw write drops what a closed pipe cut off
+            return open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, closefd=False), True
         return sys.stdout, False
     try:
         return open(path, "w", newline=""), True
@@ -70,8 +71,8 @@ def _open_out(path: str | None):
 @contextmanager
 def _output(path: str | None):
     """The output stream for path, flushed on exit and closed unless it
-    is stdout.  A failed write exits 2 with an error; a closed pipe
-    is passed on to main, which exits 2 silently."""
+    is sys.stdout (fd 1 always stays open).  A failed write exits 2 with
+    an error; a closed pipe is passed on to main, which exits 2 silently."""
     out, close = _open_out(path)
     try:
         with closing(out) if close else nullcontext():
@@ -95,12 +96,9 @@ def cmd_seq(args) -> int:
         w = csv.writer(out)
         w.writerow(["k", "n", "mersenne", "mersenne_lucas"])
         for k in ks:
-            for n in ns:
-                w.writerow([
-                    k, n,
-                    seq_value(Family.MERSENNE, k, n),
-                    seq_value(Family.MERSENNE_LUCAS, k, n),
-                ])
+            for n, m, l in zip(ns, seq_terms(Family.MERSENNE, k, ns.start),
+                               seq_terms(Family.MERSENNE_LUCAS, k, ns.start)):
+                w.writerow([k, n, m, l])
     return EXIT_OK
 
 
@@ -112,8 +110,12 @@ def cmd_oct(args) -> int:
         w.writerow(["family", "k", "n"] + [f"e{r}" for r in range(8)])
         for family in _FAMILIES[args.family]:
             for k in ks:
-                for n in ns:
-                    w.writerow([family.value, k, n, *oct_seq(family, k, n).coords])
+                # row n holds terms n..n+7: slide one window along one run
+                terms = seq_terms(family, k, ns.start)
+                window = tuple(islice(terms, 7))
+                for n, x in zip(ns, terms):
+                    window = (*window[-7:], x)
+                    w.writerow([family.value, k, n, *window])
     return EXIT_OK
 
 

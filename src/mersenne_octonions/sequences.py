@@ -2,15 +2,16 @@
 
 Both satisfy x[n+1] = 3k*x[n] - 2*x[n-1]; the Mersenne family starts
 (0, 1), the Lucas family (2, 3k).  Three evaluators are provided: the
-plain recurrence, the Binet closed form computed exactly in the
-quadratic quotient ring, and an O(log n) companion-matrix power.  They
-agree everywhere, and values are arbitrary-precision integers (they
-grow like (3k)^n).
+recurrence, run in one loop (seq_terms), the Binet closed form computed
+exactly in the quadratic quotient ring, and an O(log n) companion-matrix
+power.  They agree everywhere, and values are arbitrary-precision
+integers (they grow like (3k)^n).
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 
 from .quadratic import div_by_root_diff, lam
 
@@ -38,27 +39,26 @@ def _check_params(k: int, n: int):
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
+def seq_terms(family: Family, k: int, n: int):
+    """Terms n, n+1, ... of one run of the recurrence; bad input raises here."""
+    _check_params(k, n)
+    return islice(_run(*_initial(family, k), 3 * k), n, None)
+
+
+def _run(x0: int, x1: int, c: int):
+    while True:  # the one loop that steps x[n+1] = c*x[n] - 2*x[n-1]
+        yield x0
+        x0, x1 = x1, c * x1 - 2 * x0
+
+
 def seq_value(family: Family, k: int, n: int) -> int:
     """n-th term by running the recurrence."""
-    _check_params(k, n)
-    x0, x1 = _initial(family, k)
-    if n == 0:
-        return x0
-    for _ in range(n - 1):
-        x0, x1 = x1, 3 * k * x1 - 2 * x0
-    return x1
+    return next(seq_terms(family, k, n))
 
 
 def seq_window(family: Family, k: int, n: int, length: int = 8) -> tuple:
     """Terms n, n+1, ..., n+length-1 in one pass."""
-    _check_params(k, n)
-    x0, x1 = _initial(family, k)
-    out = []
-    for i in range(n + length):
-        if i >= n:
-            out.append(x0)
-        x0, x1 = x1, 3 * k * x1 - 2 * x0
-    return tuple(out)
+    return tuple(islice(seq_terms(family, k, n), length))
 
 
 def seq_binet(family: Family, k: int, n: int) -> int:
@@ -105,8 +105,6 @@ def seq_fast(family: Family, k: int, n: int) -> int:
     of x^2 = 3k*x - 2 acting on the initial pair."""
     _check_params(k, n)
     x0, x1 = _initial(family, k)
-    if n == 0:
-        return x0
     P = _mat_pow(((3 * k, -2), (1, 0)), n)
-    # bottom row of P maps (x1, x0) to x_n
+    # bottom row of P maps (x1, x0) to x_n (P is the identity at n = 0)
     return P[1][0] * x1 + P[1][1] * x0

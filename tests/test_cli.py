@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mersenne_octonions.cli import main
 
@@ -198,6 +199,27 @@ class TestFailedWrite:
         assert line.startswith("error: cannot write output: ")
 
 
+class TestClosedPipe:
+    # with PYTHONUNBUFFERED=1, stdout writes through to fd 1 unbuffered,
+    # and a write cut short by a pipe closed after 10 bytes must still
+    # end in a silent exit 2, not in exit 0 on truncated output
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--format", "json"],
+        ["seq", "--k", "1", "--n", "20000..20040"],
+    ], ids=["verify", "seq"])
+    def test_unbuffered_stdout_exits_2_silently(self, argv):
+        with subprocess.Popen(
+            [sys.executable, "-m", "mersenne_octonions.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=300) == 2
+        assert err == b""
+
+
 class TestBench:
     def test_cross_checked_timing_table(self, capsys):
         code, out, _ = run_cli(
@@ -274,6 +296,46 @@ class TestPastTheDigitLimit:
         for row, x0, x1 in zip(rows, (0, 2), (1, 3)):
             expected = terms(x0, x1, 1, 15000, 15007)
             assert [int(row[f"e{r}"]) for r in range(8)] == expected
+
+    # one recurrence run per (family, k) feeds every row of a table, so
+    # compare whole tables over ranges that start past the digit limit
+    # (n = 15,000 passes it at k = 1, and sooner at larger k)
+    round_trip = settings(max_examples=4, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @round_trip
+    @given(st.integers(1, 5), st.booleans(), st.integers(15000, 15500), st.integers(0, 3))
+    def test_seq_round_trip(self, capsys, k0, two_ks, start, width):
+        k1, stop = min(k0 + two_ks, 5), start + width
+        code, out, _ = self.run(capsys, "seq", "--k", f"{k0}..{k1}", "--n", f"{start}..{stop}")
+        assert code == 0
+        expected = [["k", "n", "mersenne", "mersenne_lucas"]]
+        for k in range(k0, k1 + 1):
+            m, l = terms(0, 1, k, start, stop), terms(2, 3 * k, k, start, stop)
+            expected += [[str(k), str(n), str(a), str(b)]
+                         for n, a, b in zip(range(start, stop + 1), m, l)]
+        assert list(csv.reader(io.StringIO(out))) == expected
+        assert len(expected[1][2]) > 4300
+
+    @round_trip
+    @given(st.integers(1, 5), st.booleans(), st.integers(15000, 15500), st.integers(0, 3),
+           st.sampled_from(["mersenne", "mersenne-lucas", "both"]))
+    def test_oct_round_trip(self, capsys, k0, two_ks, start, width, family):
+        k1, stop = min(k0 + two_ks, 5), start + width
+        code, out, _ = self.run(capsys, "oct", "--k", f"{k0}..{k1}",
+                                "--n", f"{start}..{stop}", "--family", family)
+        assert code == 0
+        expected = [["family", "k", "n"] + [f"e{r}" for r in range(8)]]
+        for name in ("mersenne", "mersenne-lucas"):
+            if family not in (name, "both"):
+                continue
+            for k in range(k0, k1 + 1):
+                x0, x1 = (0, 1) if name == "mersenne" else (2, 3 * k)
+                xs = [str(x) for x in terms(x0, x1, k, start, stop + 7)]
+                expected += [[name, str(k), str(n), *xs[i:i + 8]]
+                             for i, n in enumerate(range(start, stop + 1))]
+        assert list(csv.reader(io.StringIO(out))) == expected
+        assert len(expected[1][3]) > 4300
 
     def test_bench(self, capsys):
         code, out, _ = self.run(

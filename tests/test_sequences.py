@@ -1,11 +1,13 @@
 """Tests for the scalar k-Mersenne and k-Mersenne-Lucas sequences."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mersenne_octonions.sequences import (
     Family,
     seq_binet,
     seq_fast,
+    seq_terms,
     seq_value,
     seq_window,
 )
@@ -44,6 +46,25 @@ class TestRecurrence:
             seq_value(M, 0, 1)
         with pytest.raises(ValueError):
             seq_value(M, 1, -1)
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (1, -1)])
+    def test_bad_params_raise_at_the_call(self, k, n):
+        # not at the first term: a zero-length window reads none
+        with pytest.raises(ValueError):
+            seq_window(M, k, n, 0)
+        with pytest.raises(ValueError):
+            seq_terms(M, k, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((M, ML)), st.integers(1, 5), st.integers(0, 400),
+           st.integers(1, 12))
+    @example(M, 1, 0, 1)
+    @example(ML, 5, 0, 8)
+    def test_value_and_window_match_matrix_power(self, family, k, n, length):
+        assert seq_value(family, k, n) == seq_fast(family, k, n)
+        assert seq_window(family, k, n, length) == tuple(
+            seq_fast(family, k, m) for m in range(n, n + length)
+        )
 
 
 class TestBinet:
