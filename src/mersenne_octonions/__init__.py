@@ -19,7 +19,6 @@ from .sequences import Family, seq_binet, seq_fast, seq_value
 from .oct_sequences import (
     AlphaBeta,
     alpha_beta,
-    alpha_beta_evaluated_k1,
     oct_seq,
     oct_seq_closed,
     oct_seq_conj,
@@ -53,7 +52,6 @@ __all__ = [
     "Status",
     "VerificationReport",
     "alpha_beta",
-    "alpha_beta_evaluated_k1",
     "associator",
     "cd_mul",
     "check_binet",

@@ -135,6 +135,8 @@ def cmd_verify(args) -> int:
             report = run_grid(cfg)
     except ConfigError as exc:
         raise SystemExit2(str(exc))
+    if not report.results:
+        raise SystemExit2("the selected identities have no grid point at these k and n")
     with _output(args.output) as out:
         out.write(report.to_json() if args.format == "json" else report.summary_table())
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK

@@ -8,7 +8,8 @@ sequence at index n+r.  Closed forms use the constant octonions
 which live over the quadratic ring and do not commute.  Every closed
 form is computed there and only then projected down to rational (in
 fact integer) coordinates; a non-rational coordinate after reduction
-means a bug, not bad input.
+means a bug, not bad input.  At k = 1 the same forms also run at the
+split lam1 = 2, lam2 = 1, where every coordinate is an int throughout.
 """
 
 from __future__ import annotations
@@ -17,38 +18,55 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .octonion import Octonion
-from .quadratic import QuadElem, discriminant, div_by_root_diff, lam, zero
+from .octonion import Octonion, cd_mul
+from .quadratic import QuadElem, discriminant, lam, zero
 from .sequences import Family, InternalInconsistencyError, seq_window
 
 
 @dataclass(frozen=True)
 class AlphaBeta:
-    """The pair of non-commuting closed-form constants; beta is the
-    coordinatewise root-conjugate of alpha."""
+    """The closed forms' constants at the roots lam1, lam2: alpha =
+    sum_r lam1^r e_r, beta = sum_r lam2^r e_r and their products
+    ab = alpha beta and ba = beta alpha, which differ."""
 
+    lam1: QuadElem | int
+    lam2: QuadElem | int
+    disc: int  # (lam1 - lam2)^2
     alpha: Octonion
     beta: Octonion
+    ab: Octonion
+    ba: Octonion
+
+    def powers(self, e: int) -> tuple:
+        """(lam1^e, lam2^e); the ring's come from one cached power."""
+        if isinstance(self.lam1, int):
+            return self.lam1**e, self.lam2**e
+        p = _lam_pow(self.lam1.k, e)
+        return p, p.conj()
+
+    def over_root_diff(self, x: Octonion) -> Octonion:
+        """x / (lam1 - lam2) in int coordinates, as x (lam1 - lam2) / disc."""
+        rd = self.lam1 - self.lam2
+        return project_rational(x.map_coords(lambda q: q * rd), self.disc)
 
 
 # Each bound is at least twice the most keys one command fills: the
-# default grid (oct_seq 490, alpha_beta 5), a verify at n <= 120 (_lam_pow 362).
+# default grid (oct_seq 490, alpha_beta 6), a verify at n <= 120 (_lam_pow 362).
 @lru_cache(maxsize=16)
-def alpha_beta(k: int) -> AlphaBeta:
-    powers = [lam(k) ** r for r in range(8)]
-    return AlphaBeta(
-        alpha=Octonion(tuple(powers)),
-        beta=Octonion(tuple(p.conj() for p in powers)),
-    )
+def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
+    """alpha and beta at the roots L, 3k - L of the quotient ring, or at
+    2, 1 under the k = 1 split, the ring's image in Q under L -> 2.
 
-
-def alpha_beta_evaluated_k1() -> AlphaBeta:
-    """alpha, beta at k=1 under the split lam1 = 2, lam2 = 1: rational
-    octonions (1,2,4,...,128) and (1,...,1)."""
-    return AlphaBeta(
-        alpha=Octonion(tuple(2**r for r in range(8))),
-        beta=Octonion((1,) * 8),
-    )
+    The products are taken through the Cayley-Dickson oracle, not the
+    stored basis table, so the right side of every identity is computed
+    on a code path fully independent of the table data the left side
+    exercises."""
+    if split and k != 1:
+        raise ValueError(f"the split lam1 = 2, lam2 = 1 holds only at k = 1, got k={k}")
+    lam1, lam2, disc = (2, 1, 1) if split else (lam(k), lam(k).conj(), discriminant(k))
+    alpha = Octonion(tuple(lam1**r for r in range(8)))
+    beta = Octonion(tuple(lam2**r for r in range(8)))
+    return AlphaBeta(lam1, lam2, disc, alpha, beta, cd_mul(alpha, beta), cd_mul(beta, alpha))
 
 
 @lru_cache(maxsize=1024)
@@ -61,16 +79,16 @@ def oct_seq_conj(family: Family, k: int, n: int) -> Octonion:
     return oct_seq(family, k, n).conj()
 
 
-def project_rational(x: Octonion) -> Octonion:
+def project_rational(x: Octonion, divisor: int = 1) -> Octonion:
     """Drop an all-rational Octonion over QuadElem (or over Fraction)
-    down to int coordinates, failing loudly on any leftover L-coordinate
-    or fractional part."""
+    down to int coordinates divided by divisor, failing loudly on any
+    leftover L-coordinate or fractional part."""
 
     def down(c):
         v = c.rational() if isinstance(c, QuadElem) else Fraction(c)
-        if v.denominator != 1:
-            raise InternalInconsistencyError(f"non-integer coordinate {v}")
-        return int(v)
+        if v.denominator != 1 or v.numerator % divisor:
+            raise InternalInconsistencyError(f"non-integer coordinate {v / divisor}")
+        return v.numerator // divisor
 
     return x.map_coords(down)
 
@@ -80,17 +98,15 @@ def _lam_pow(k: int, e: int) -> QuadElem:
     return lam(k) ** e
 
 
-def oct_seq_closed(family: Family, k: int, n: int) -> Octonion:
-    """Closed form: (alpha lam1^n - beta lam2^n)/(lam1 - lam2) for the
-    Mersenne family, alpha lam1^n + beta lam2^n for the Lucas family."""
-    ab = alpha_beta(k)
-    p1 = _lam_pow(k, n)
-    p2 = p1.conj()
+def oct_seq_closed(family: Family, k: int, n: int, split: bool = False) -> Octonion:
+    """Closed form at the roots of alpha_beta(k, split):
+    (alpha lam1^n - beta lam2^n)/(lam1 - lam2) for the Mersenne family,
+    alpha lam1^n + beta lam2^n for the Lucas family."""
+    ab = alpha_beta(k, split)
+    p1, p2 = ab.powers(n)
     if Family(family) is Family.MERSENNE:
-        x = (ab.alpha.scale(p1) - ab.beta.scale(p2)).map_coords(div_by_root_diff)
-    else:
-        x = ab.alpha.scale(p1) + ab.beta.scale(p2)
-    return project_rational(x)
+        return ab.over_root_diff(ab.alpha.scale(p1) - ab.beta.scale(p2))
+    return project_rational(ab.alpha.scale(p1) + ab.beta.scale(p2))
 
 
 def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:

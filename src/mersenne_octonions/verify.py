@@ -28,17 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .octonion import Octonion, active_basis_table, cd_mul, use_basis_table
-from .oct_sequences import (
-    alpha_beta,
-    alpha_beta_evaluated_k1,
-    oct_seq,
-    oct_seq_closed,
-    oct_seq_norm_sq_closed,
-    project_rational,
-    _lam_pow,
-)
-from .quadratic import div_by_root_diff, root_diff
+from .octonion import Octonion, active_basis_table, use_basis_table
+from .oct_sequences import alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed
 from .sequences import Family, seq_value
 
 DISCREPANCIES = (
@@ -131,18 +122,6 @@ def _check_common(family, k: int, specialized: bool, **counts):
         raise ParamError("specialized forms are defined only at k=1")
 
 
-# The alpha/beta products are taken through the Cayley-Dickson oracle,
-# not the stored basis table, so the right side of every identity is
-# computed on a code path fully independent of the table data the left
-# side exercises.
-
-@lru_cache(maxsize=16)
-def _products(k: int, specialized: bool):
-    """(alpha beta, beta alpha) at k, or evaluated at k = 1."""
-    ab = alpha_beta_evaluated_k1() if specialized else alpha_beta(k)
-    return cd_mul(ab.alpha, ab.beta), cd_mul(ab.beta, ab.alpha)
-
-
 # --- Identity registry ----------------------------------------------
 
 # name -> check_<name>; the grid calls every check through this dict
@@ -185,12 +164,7 @@ def check_binet(family: Family, k: int, n: int,
     """Defining recurrence octonion against the closed form."""
     _check_common(family, k, specialized, n=n)
     lhs = oct_seq(family, k, n)
-    if specialized:
-        ab = alpha_beta_evaluated_k1()
-        a_pow = ab.alpha.scale(2**n)
-        rhs = a_pow - ab.beta if family is Family.MERSENNE else a_pow + ab.beta
-    else:
-        rhs = oct_seq_closed(family, k, n)
+    rhs = oct_seq_closed(family, k, n, specialized)
     params = {"k": k, "n": n, "specialized": specialized}
     return _result("binet", family, params, lhs, rhs)
 
@@ -222,20 +196,15 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 def _core(family: Family, k: int, j: int, opposite: bool,
           specialized: bool) -> Octonion:
     """Vajda's right side with the scalar 2^n M[k,i] stripped, in the
-    opposite algebra if opposite is set; always integer-coordinated."""
-    ab, ba = _products(k, specialized)
-    if opposite:
-        ab, ba = ba, ab
-    if specialized:
-        x = ba.scale(2**j) - ab
-        return x if family is Family.MERSENNE else -x
-    pj = _lam_pow(k, j)
-    if family is Family.MERSENNE:
-        x = (ba.scale(pj) - ab.scale(pj.conj())).map_coords(div_by_root_diff)
-    else:
-        rd = root_diff(k)
-        x = (ab.scale(pj.conj()) - ba.scale(pj)).map_coords(lambda q: q * rd)
-    return project_rational(x)
+    opposite algebra if opposite is set; always integer-coordinated.
+    At the roots of alpha_beta(k, specialized), the Mersenne core is
+    (beta alpha lam1^j - alpha beta lam2^j)/(lam1 - lam2)."""
+    ab = alpha_beta(k, specialized)
+    p1, p2 = ab.powers(j)
+    x, y = (ab.ab, ab.ba) if opposite else (ab.ba, ab.ab)
+    core = ab.over_root_diff(x.scale(p1) - y.scale(p2))
+    # the Lucas core is -(lam1 - lam2)^2 times the Mersenne one
+    return core if family is Family.MERSENNE else core.scale(-ab.disc)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
@@ -372,7 +341,7 @@ def check_finite_sum(family: Family, k: int, n: int,
 
     The general-k formula divides by 3(1-k) and is excluded at k=1;
     requesting it there yields SKIPPED.  At k=1 the specialized form
-    S[n+1] - (alpha +- n*beta) applies, with alpha, beta evaluated at
+    S[n+1] - (alpha +- n*beta) applies, with alpha, beta at the split
     lam1=2, lam2=1.
     """
     _check_common(family, k, False, n=n)
@@ -400,7 +369,7 @@ def check_finite_sum(family: Family, k: int, n: int,
         )
         rhs = num.scale(Fraction(1, 3 * (1 - k)))
     else:
-        ab = alpha_beta_evaluated_k1()
+        ab = alpha_beta(1, True)
         tail = ab.alpha + ab.beta.scale(n if family is Family.MERSENNE else -n)
         rhs = oct_seq(family, k, n + 1) - tail
     return _result("finite_sum", family, params, lhs, rhs)

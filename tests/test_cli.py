@@ -107,6 +107,15 @@ class TestVerify:
         assert out == ""
         assert "error" in err
 
+    def test_selection_without_grid_points_is_usage_error(self, capsys):
+        # the generating function runs only at k <= 3
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "4", "--n", "1", "--identities", "genfunc_ordinary",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_genfunc_follows_k(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "2..4", "--n", "0..2",
@@ -336,6 +345,24 @@ class TestPastTheDigitLimit:
                              for i, n in enumerate(range(start, stop + 1))]
         assert list(csv.reader(io.StringIO(out))) == expected
         assert len(expected[1][3]) > 4300
+
+    @round_trip
+    @given(st.integers(1, 5), st.booleans(), st.integers(15000, 15500), st.integers(0, 3))
+    def test_bench_round_trip(self, capsys, k0, two_ks, n0, spread):
+        k1, ns = min(k0 + two_ks, 5), (n0, n0 + spread)
+        code, out, _ = self.run(capsys, "bench", "--k", f"{k0}..{k1}",
+                                "--n-values", ",".join(map(str, ns)), "--repeat", "1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        expected = []
+        for k in range(k0, k1 + 1):
+            for n in ns:
+                digits = str(len(str(terms(0, 1, k, n, n)[0])))
+                expected += [[str(k), str(n), method, digits]
+                             for method in ("recurrence", "matrix_power")]
+        assert [[r["k"], r["n"], r["method"], r["digits"]] for r in rows] == expected
+        assert int(expected[0][3]) > 4300
+        assert all(int(r["nanoseconds"]) > 0 for r in rows)
 
     def test_bench(self, capsys):
         code, out, _ = self.run(

@@ -5,7 +5,6 @@ import pytest
 from mersenne_octonions.octonion import Octonion
 from mersenne_octonions.oct_sequences import (
     alpha_beta,
-    alpha_beta_evaluated_k1,
     oct_seq,
     oct_seq_closed,
     oct_seq_conj,
@@ -88,11 +87,15 @@ class TestAlphaBeta:
         assert ab.alpha * ab.beta != ab.beta * ab.alpha
 
     def test_evaluated_k1(self):
-        ab = alpha_beta_evaluated_k1()
+        ab = alpha_beta(1, split=True)
         assert ab.alpha.coords == (1, 2, 4, 8, 16, 32, 64, 128)
         assert ab.beta.coords == (1,) * 8
         diff = ab.alpha - ab.beta
         assert diff.coords == (0, 1, 3, 7, 15, 31, 63, 127)
+
+    def test_split_needs_k1(self):
+        with pytest.raises(ValueError):
+            alpha_beta(2, split=True)
 
 
 class TestClosedForm:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mersenne_octonions.octonion import corrupted_basis_table
 from mersenne_octonions.sequences import Family, seq_value, seq_window
-from mersenne_octonions.oct_sequences import oct_seq
+from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed
 from mersenne_octonions import oct_sequences, verify
 from mersenne_octonions.verify import (
     IDENTITIES,
@@ -233,6 +233,24 @@ class TestRightSideCores:
                         core = verify._core(family, k, j, opposite, sp)
                         assert all(type(c) is int for c in core.coords)
 
+    def test_split_is_the_k1_corollary(self):
+        # the k = 1 pass runs the general forms at lam1 = 2, lam2 = 1,
+        # the image of the roots under the ring map L -> 2
+        def at_two(x):
+            return x.map_coords(lambda q: q.a + 2 * q.b)
+
+        split, ring = alpha_beta(1, True), alpha_beta(1, False)
+        for field in ("alpha", "beta", "ab", "ba"):
+            assert getattr(split, field) == at_two(getattr(ring, field)), field
+        assert (split.lam1, split.lam2, split.disc) == (2, 1, 1)
+        for family in (M, ML):
+            for opposite in (False, True):
+                for j in range(25):
+                    assert (verify._core(family, 1, j, opposite, True)
+                            == verify._core(family, 1, j, opposite, False)), (family, opposite, j)
+            for n in range(41):
+                assert oct_seq_closed(family, 1, n, split=True) == oct_seq_closed(family, 1, n)
+
     def test_caches_hold_the_default_grid(self, monkeypatch):
         # one key per distinct core the default grid asks for: Catalan
         # and Cassini take their products reversed in "lr", d'Ocagne
@@ -257,8 +275,8 @@ class TestRightSideCores:
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
-                verify._products, verify._core]
-        bounded = cold[:4]
+                verify._core]
+        bounded = cold[:3]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
                                              identities=("binet", "norm_closed", "cassini"))):
@@ -269,8 +287,8 @@ class TestRightSideCores:
                 # the grid fills exactly the keys derived above
                 assert verify._core.cache_info().currsize == len(keys)
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
-        # _products: five general k plus the k = 1 specialized split
-        assert needed == [490, 362, 5, 6]
+        # alpha_beta: five general k plus the k = 1 split
+        assert needed == [490, 362, 6]
         for cache, n in zip(bounded, needed):
             assert cache.cache_info().maxsize >= 2 * n
         # oct_seq caches the same keys, so seq_window's own cache only missed
@@ -288,15 +306,19 @@ class TestCorruptedTable:
 
     def test_every_sign_flip_fails_the_product_identities(self):
         # Binet, norm, the generating function and the finite sum take
-        # no octonion product, so they cannot see the table
+        # no octonion product, so they cannot see the table; the product
+        # identities must fail in the general pass and in the k = 1 split
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         assert len(verify._grid_points(cfg)) == 380
+        expected = {(name, sp) for name in ("catalan", "cassini", "docagne", "vajda")
+                    for sp in (False, True)}
         for i in range(8):
             for j in range(8):
                 with corrupted_basis_table(i, j):
                     report = run_grid(cfg)
-                failed = {r.identity for r in report.results if r.status is Status.FAIL}
-                assert failed == {"catalan", "cassini", "docagne", "vajda"}, (i, j)
+                failed = {(r.identity, r.params.get("specialized")) for r in report.results
+                          if r.status is Status.FAIL}
+                assert failed == expected, (i, j)
 
     def test_clean_after_corruption(self):
         with corrupted_basis_table():
