@@ -8,14 +8,12 @@ from .quadratic import (
     QuadElem,
     RingMismatchError,
     discriminant,
-    div_by_root_diff,
     lam,
     one,
-    root_diff,
     zero,
 )
 from .octonion import Octonion, associator, cd_mul
-from .sequences import Family, seq_binet, seq_fast, seq_value
+from .sequences import Family, seq_fast, seq_value
 from .oct_sequences import (
     AlphaBeta,
     alpha_beta,
@@ -23,6 +21,7 @@ from .oct_sequences import (
     oct_seq_closed,
     oct_seq_conj,
     oct_seq_norm_sq_closed,
+    seq_binet,
 )
 from .verify import (
     CheckResult,
@@ -63,14 +62,12 @@ __all__ = [
     "check_norm_closed",
     "check_vajda",
     "discriminant",
-    "div_by_root_diff",
     "lam",
     "oct_seq",
     "oct_seq_closed",
     "oct_seq_conj",
     "oct_seq_norm_sq_closed",
     "one",
-    "root_diff",
     "run_grid",
     "seq_binet",
     "seq_fast",

@@ -6,10 +6,12 @@ sequence at index n+r.  Closed forms use the constant octonions
     alpha = sum_r lam1^r e_r,    beta = sum_r lam2^r e_r,
 
 which live over the quadratic ring and do not commute.  Every closed
-form is computed there and only then projected down to rational (in
-fact integer) coordinates; a non-rational coordinate after reduction
-means a bug, not bad input.  At k = 1 the same forms also run at the
-split lam1 = 2, lam2 = 1, where every coordinate is an int throughout.
+form is computed there and only then dropped to integer coordinates
+by one helper, _exact; a non-integer after reduction means a bug, not
+bad input.  At k = 1 the same forms also run at the split lam1 = 2,
+lam2 = 1, where every coordinate is an int throughout.  Both alpha and
+beta have e0 coordinate 1, so coordinate e0 of the octonion closed form
+is the scalar Binet form, seq_binet.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from functools import lru_cache
 
 from .octonion import Octonion, cd_mul
 from .quadratic import QuadElem, discriminant, lam, zero
-from .sequences import Family, InternalInconsistencyError, seq_window
+from .sequences import Family, _check_params, seq_window
+
+
+class InternalInconsistencyError(RuntimeError):
+    """A closed form failed to reduce to the integer it must equal."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,6 @@ class AlphaBeta:
         return project_rational(x.map_coords(lambda q: q * rd), self.disc)
 
 
-# Each bound is at least twice the most keys one command fills: the
-# default grid (oct_seq 490, alpha_beta 6), a verify at n <= 120 (_lam_pow 362).
-@lru_cache(maxsize=16)
 def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
     """alpha and beta at the roots L, 3k - L of the quotient ring, or at
     2, 1 under the k = 1 split, the ring's image in Q under L -> 2.
@@ -61,6 +64,13 @@ def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
     stored basis table, so the right side of every identity is computed
     on a code path fully independent of the table data the left side
     exercises."""
+    return _alpha_beta(k, split)  # positional: one cache key per (k, split)
+
+
+# Each bound is at least twice the most keys one command fills: the
+# default grid (oct_seq 490, _alpha_beta 6), a verify at n <= 120 (_lam_pow 362).
+@lru_cache(maxsize=16)
+def _alpha_beta(k: int, split: bool) -> AlphaBeta:
     if split and k != 1:
         raise ValueError(f"the split lam1 = 2, lam2 = 1 holds only at k = 1, got k={k}")
     lam1, lam2, disc = (2, 1, 1) if split else (lam(k), lam(k).conj(), discriminant(k))
@@ -76,21 +86,25 @@ def oct_seq(family: Family, k: int, n: int) -> Octonion:
 
 
 def oct_seq_conj(family: Family, k: int, n: int) -> Octonion:
+    """Conjugate with real part at index n: the rule that the conjugate
+    entry of verify.DISCREPANCIES says this tool implements."""
     return oct_seq(family, k, n).conj()
 
 
+def _exact(c, divisor: int = 1) -> int:
+    """The rational c (a QuadElem with zero L-coordinate, an int or a
+    Fraction) divided by divisor, as an int: the one drop to Z.  A
+    leftover L-coordinate raises NonRationalError, and a fractional
+    part InternalInconsistencyError."""
+    v = c.rational() if isinstance(c, QuadElem) else Fraction(c)
+    if v.denominator != 1 or v.numerator % divisor:
+        raise InternalInconsistencyError(f"non-integer value {v / divisor}")
+    return v.numerator // divisor
+
+
 def project_rational(x: Octonion, divisor: int = 1) -> Octonion:
-    """Drop an all-rational Octonion over QuadElem (or over Fraction)
-    down to int coordinates divided by divisor, failing loudly on any
-    leftover L-coordinate or fractional part."""
-
-    def down(c):
-        v = c.rational() if isinstance(c, QuadElem) else Fraction(c)
-        if v.denominator != 1 or v.numerator % divisor:
-            raise InternalInconsistencyError(f"non-integer coordinate {v / divisor}")
-        return v.numerator // divisor
-
-    return x.map_coords(down)
+    """x / divisor with int coordinates, each dropped by _exact."""
+    return x.map_coords(lambda c: _exact(c, divisor))
 
 
 @lru_cache(maxsize=1024)
@@ -102,11 +116,19 @@ def oct_seq_closed(family: Family, k: int, n: int, split: bool = False) -> Octon
     """Closed form at the roots of alpha_beta(k, split):
     (alpha lam1^n - beta lam2^n)/(lam1 - lam2) for the Mersenne family,
     alpha lam1^n + beta lam2^n for the Lucas family."""
+    _check_params(k, n)
     ab = alpha_beta(k, split)
     p1, p2 = ab.powers(n)
     if Family(family) is Family.MERSENNE:
         return ab.over_root_diff(ab.alpha.scale(p1) - ab.beta.scale(p2))
     return project_rational(ab.alpha.scale(p1) + ab.beta.scale(p2))
+
+
+def seq_binet(family: Family, k: int, n: int) -> int:
+    """n-th scalar term by the closed form: coordinate e0 of
+    oct_seq_closed, (lam1^n - lam2^n)/(lam1 - lam2) for the Mersenne
+    family and lam1^n + lam2^n for the Lucas family."""
+    return oct_seq_closed(family, k, n).coords[0]
 
 
 def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:
@@ -121,12 +143,8 @@ def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:
     s1 = sum((_lam_pow(k, 2 * r) for r in range(8)), start=zero(k))
     s2 = s1.conj()
     p1 = _lam_pow(k, 2 * n)
-    val = (p1 * s1 + p1.conj() * s2).rational()
+    val = p1 * s1 + p1.conj() * s2
     tail = 255 * 2 ** (n + 1)
     if Family(family) is Family.MERSENNE:
-        val = (val - tail) / discriminant(k)
-    else:
-        val = val + tail
-    if val.denominator != 1:
-        raise InternalInconsistencyError(f"non-integer norm {val}")
-    return int(val)
+        return _exact(val - tail, discriminant(k))
+    return _exact(val + tail)

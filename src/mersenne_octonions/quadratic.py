@@ -5,9 +5,10 @@ characteristic polynomial x^2 - 3k*x + 2, and its conjugate 3k - L
 stands for the smaller root lam2.  Working in the quotient ring keeps
 every Binet-style closed form exact.  This includes k = 1, where the
 discriminant 9k^2 - 8 equals 1 and the ring splits with zero divisors
-(L - 1)(L - 2) = 0; for that reason no general division is provided,
-only the specific inversions the closed forms need (by the root
-difference, via the discriminant, and by rational scalars).
+(L - 1)(L - 2) = 0; for that reason no division is provided.  The one
+division the closed forms need, by the root difference lam1 - lam2, is
+taken in oct_sequences as a product with lam1 - lam2 followed by an
+exact integer division by the discriminant.
 
 Coordinates are exact rationals kept in their cheapest form: a plain
 int whenever the value is integral, a Fraction only when it is not.
@@ -184,19 +185,3 @@ def one(k: int) -> QuadElem:
 
 def zero(k: int) -> QuadElem:
     return QuadElem(k, 0, 0)
-
-
-def root_diff(k: int) -> QuadElem:
-    """lam1 - lam2 = 2L - 3k; its square is the rational 9k^2 - 8."""
-    return QuadElem(k, -3 * k, 2)
-
-
-def div_by_root_diff(x: QuadElem) -> QuadElem:
-    """Exact division by lam1 - lam2.
-
-    Multiplies by (2L - 3k)/(9k^2 - 8), the inverse of root_diff; works
-    for every k >= 1 since the discriminant never vanishes on integers.
-    """
-    d = discriminant(x.k)
-    y = x * root_diff(x.k)
-    return _new(x.k, Fraction(y.a, d), Fraction(y.b, d))

@@ -1,11 +1,13 @@
 """The k-Mersenne and k-Mersenne-Lucas integer sequences.
 
 Both satisfy x[n+1] = 3k*x[n] - 2*x[n-1]; the Mersenne family starts
-(0, 1), the Lucas family (2, 3k).  Three evaluators are provided: the
-recurrence, run in one loop (seq_terms), the Binet closed form computed
-exactly in the quadratic quotient ring, and an O(log n) companion-matrix
-power.  They agree everywhere, and values are arbitrary-precision
-integers (they grow like (3k)^n).
+(0, 1), the Lucas family (2, 3k).  Two evaluators live here: the
+recurrence, run in one loop (seq_terms), and an O(log n)
+companion-matrix power.  The third, the Binet closed form, is
+oct_sequences.seq_binet: coordinate e0 of the octonion closed form,
+since alpha and beta both have e0 coordinate 1.  All three agree
+everywhere, and values are arbitrary-precision integers (they grow like
+(3k)^n).
 """
 
 from __future__ import annotations
@@ -13,16 +15,10 @@ from __future__ import annotations
 from enum import Enum
 from itertools import islice
 
-from .quadratic import div_by_root_diff, lam
-
 
 class Family(str, Enum):
     MERSENNE = "mersenne"
     MERSENNE_LUCAS = "mersenne-lucas"
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A closed form failed to reduce to the integer it must equal."""
 
 
 def _initial(family: Family, k: int):
@@ -59,28 +55,6 @@ def seq_value(family: Family, k: int, n: int) -> int:
 def seq_window(family: Family, k: int, n: int, length: int = 8) -> tuple:
     """Terms n, n+1, ..., n+length-1 in one pass."""
     return tuple(islice(seq_terms(family, k, n), length))
-
-
-def seq_binet(family: Family, k: int, n: int) -> int:
-    """n-th term from the closed form in the roots lam1, lam2.
-
-    Mersenne: (lam1^n - lam2^n)/(lam1 - lam2); Lucas: lam1^n + lam2^n.
-    Evaluated in the quotient ring; the result must come out with zero
-    L-coordinate and integer value, anything else is a bug here.
-    """
-    _check_params(k, n)
-    l1 = lam(k)
-    l2 = l1.conj()
-    if Family(family) is Family.MERSENNE:
-        q = div_by_root_diff(l1**n - l2**n)
-    else:
-        q = l1**n + l2**n
-    val = q.rational()
-    if val.denominator != 1:
-        raise InternalInconsistencyError(
-            f"closed form gave non-integer {val} at {family}, k={k}, n={n}"
-        )
-    return int(val)
 
 
 def _mat_mul(A, B):

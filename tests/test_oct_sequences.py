@@ -1,16 +1,20 @@
 """Tests for the octonion sequences and their closed forms."""
 
+from fractions import Fraction
+
 import pytest
 
 from mersenne_octonions.octonion import Octonion
 from mersenne_octonions.oct_sequences import (
+    InternalInconsistencyError,
     alpha_beta,
     oct_seq,
     oct_seq_closed,
     oct_seq_conj,
     oct_seq_norm_sq_closed,
+    project_rational,
 )
-from mersenne_octonions.quadratic import lam, one
+from mersenne_octonions.quadratic import NonRationalError, QuadElem, lam, one
 from mersenne_octonions.sequences import Family, seq_value
 
 M, ML = Family.MERSENNE, Family.MERSENNE_LUCAS
@@ -97,6 +101,11 @@ class TestAlphaBeta:
         with pytest.raises(ValueError):
             alpha_beta(2, split=True)
 
+    def test_one_value_per_k_and_split(self):
+        # however the call spells split, it is one cache entry
+        assert alpha_beta(2) is alpha_beta(2, False) is alpha_beta(2, split=False)
+        assert alpha_beta(1, True) is alpha_beta(1, split=True)
+
 
 class TestClosedForm:
     def test_lucas_n0_is_alpha_plus_beta(self):
@@ -116,6 +125,37 @@ class TestClosedForm:
     def test_equals_definition(self, family, k):
         for n in range(25):
             assert oct_seq_closed(family, k, n) == oct_seq(family, k, n)
+
+    @pytest.mark.parametrize("family", [M, ML])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_negative_n_is_bad_input(self, family, split):
+        # an input error, not an InternalInconsistencyError from the drop
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            oct_seq_closed(family, 1, -1, split)
+
+
+class TestProjectRational:
+    """The one drop to Z: an exact quotient, or an error."""
+
+    def test_exact_quotient(self):
+        x = Octonion((QuadElem(2, 6, 0), Fraction(12, 2), 0, -3, 9, 3, 30, 300))
+        got = project_rational(x, 3)
+        assert got.coords == (2, 2, 0, -1, 3, 1, 10, 100)
+        assert all(type(c) is int for c in got.coords)
+
+    def test_divisor_that_does_not_divide(self):
+        with pytest.raises(InternalInconsistencyError, match="7/3"):
+            project_rational(Octonion.basis(1, 7), 3)
+
+    def test_fraction_coordinate(self):
+        with pytest.raises(InternalInconsistencyError, match="1/2"):
+            project_rational(Octonion.basis(0, Fraction(1, 2)))
+        with pytest.raises(InternalInconsistencyError, match="1/2"):
+            project_rational(Octonion.basis(2, QuadElem(3, Fraction(1, 2), 0)))
+
+    def test_leftover_l_coordinate(self):
+        with pytest.raises(NonRationalError):
+            project_rational(Octonion.basis(0, lam(2)))
 
 
 class TestNormClosedForm:

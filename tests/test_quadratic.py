@@ -10,10 +10,8 @@ from mersenne_octonions.quadratic import (
     QuadElem,
     RingMismatchError,
     discriminant,
-    div_by_root_diff,
     lam,
     one,
-    root_diff,
     zero,
 )
 
@@ -125,6 +123,11 @@ class TestPowers:
         assert x**n == acc
 
 
+def root_diff(k):
+    """lam1 - lam2 = L - (3k - L)."""
+    return lam(k) - lam(k).conj()
+
+
 class TestRootDiff:
     def test_square_is_discriminant(self):
         for k in range(1, 8):
@@ -140,24 +143,6 @@ class TestRootDiff:
     def test_plus_3k_is_two_lambda(self):
         for k in (1, 2, 5):
             assert root_diff(k) + 3 * k == lam(k) * 2
-
-    def test_div_is_inverse(self):
-        for k in (1, 2, 3):
-            assert div_by_root_diff(root_diff(k)) == one(k)
-
-    def test_div_zero(self):
-        assert div_by_root_diff(zero(2)) == zero(2)
-
-    def test_div_k2_derived(self):
-        # (lam1^2 - lam2^2)/(lam1 - lam2) = lam1 + lam2 = 6 at k=2
-        x = lam(2) ** 2 - lam(2).conj() ** 2
-        assert x == QuadElem(2, -36, 12)
-        assert div_by_root_diff(x) == QuadElem(2, 6, 0)
-
-    @given(quad_elems())
-    def test_round_trip(self, x):
-        assert div_by_root_diff(x * root_diff(x.k)) == x
-        assert div_by_root_diff(x) * root_diff(x.k) == x
 
 
 class TestRational:
@@ -257,14 +242,6 @@ class TestCoordinateTypes:
         x = QuadElem(3, Fraction(1, 2), Fraction(3, 2)) * 2
         assert x == QuadElem(3, 1, 3)
         assert type(x.a) is int and type(x.b) is int
-
-    def test_div_by_root_diff_is_exact(self):
-        for k in (1, 2, 3):
-            x = div_by_root_diff(lam(k) ** 7 - lam(k).conj() ** 7)
-            assert type(x.a) is int and type(x.b) is int
-        # not divisible: an exact Fraction, never a float
-        x = div_by_root_diff(one(2))
-        assert x == QuadElem(2, Fraction(-6, 28), Fraction(2, 28))
 
     def test_rational_is_a_fraction(self):
         v = QuadElem(2, 6, 0).rational()

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mersenne_octonions.oct_sequences import seq_binet
 from mersenne_octonions.sequences import (
     Family,
-    seq_binet,
     seq_fast,
     seq_terms,
     seq_value,
@@ -42,10 +42,11 @@ class TestRecurrence:
         )
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            seq_value(M, 0, 1)
-        with pytest.raises(ValueError):
-            seq_value(M, 1, -1)
+        for fn in (seq_value, seq_binet):
+            with pytest.raises(ValueError):
+                fn(M, 0, 1)
+            with pytest.raises(ValueError):
+                fn(M, 1, -1)
 
     @pytest.mark.parametrize("k, n", [(0, 1), (1, -1)])
     def test_bad_params_raise_at_the_call(self, k, n):
@@ -124,9 +125,9 @@ class TestFamilyByName:
         # values and fail a later grid in the same process.
         proc = run_fresh("""
             from mersenne_octonions.oct_sequences import (
-                oct_seq, oct_seq_closed, oct_seq_norm_sq_closed)
+                oct_seq, oct_seq_closed, oct_seq_norm_sq_closed, seq_binet)
             from mersenne_octonions.sequences import (
-                Family, seq_binet, seq_fast, seq_value, seq_window)
+                Family, seq_fast, seq_value, seq_window)
             from mersenne_octonions.verify import GridConfig, run_grid
 
             assert seq_value("mersenne", 2, 3) == 34

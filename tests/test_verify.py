@@ -274,7 +274,7 @@ class TestRightSideCores:
         # measured from cold caches: the default grid, and a verify at
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
-        cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
+        cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences._alpha_beta,
                 verify._core]
         bounded = cold[:3]
         needed = [0] * len(bounded)
@@ -287,7 +287,7 @@ class TestRightSideCores:
                 # the grid fills exactly the keys derived above
                 assert verify._core.cache_info().currsize == len(keys)
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
-        # alpha_beta: five general k plus the k = 1 split
+        # _alpha_beta: five general k plus the k = 1 split
         assert needed == [490, 362, 6]
         for cache, n in zip(bounded, needed):
             assert cache.cache_info().maxsize >= 2 * n
