@@ -22,7 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -69,16 +69,10 @@ class CheckResult:
     residual: Octonion | None = None
     note: str = ""
 
-    def sort_key(self):
-        return (
-            self.identity,
-            self.family.value,
-            tuple(sorted((k, str(v)) for k, v in self.params.items())),
-        )
-
     def to_dict(self) -> dict:
+        """The report row; the residual is null unless it is nonzero."""
         residual = None
-        if self.residual is not None:
+        if self.residual is not None and not self.residual.is_zero():
             residual = [str(c) for c in self.residual.coords]
         return {
             "identity": self.identity,
@@ -445,6 +439,7 @@ def _evaluate_point(point):
 @dataclass(frozen=True)
 class VerificationReport:
     results: tuple
+    config: GridConfig
     discrepancies = DISCREPANCIES  # a class constant, not a field
 
     @property
@@ -460,8 +455,11 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
+            "schema_version": 2,
             "tool": "mersenne-octonions",
             "version": __version__,
+            "config": {**asdict(self.config),
+                       "families": [f.value for f in self.config.families]},
             "summary": self.summary,
             "discrepancies": list(self.discrepancies),
             # every grid point meets its check's preconditions
@@ -470,7 +468,12 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The to_dict document in compact JSON with sorted keys, except
+        that the results come last, one row per line, in grid order."""
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        doc = self.to_dict()
+        rows = ",\n".join(map(encode, doc.pop("results")))
+        return f'{encode(doc)[:-1]},"results":[\n{rows}\n]}}\n'
 
     def summary_table(self) -> str:
         """Human-readable per-identity tally."""
@@ -479,7 +482,7 @@ class VerificationReport:
             key = (r.identity, r.family.value)
             tally = rows.setdefault(key, {s.value: 0 for s in Status})
             tally[r.status.value] += 1
-        width = max((len(i) for i, _ in rows), default=8)
+        width = max([len("identity")] + [len(i) for i, _ in rows])
         lines = [
             f"{'identity':<{width}}  {'family':<14}  {'PASS':>6}  {'FAIL':>6}  {'SKIPPED':>7}"
         ]
@@ -514,8 +517,9 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
 
     Grid points are independent pure evaluations; with
     MERSOCT_MAX_WORKERS > 1 they are spread over processes, at most
-    one per CPU and one per point.  The report is sorted by identity
-    and parameters, so its content does not depend on evaluation order.
+    one per CPU and one per point.  The results come in grid order,
+    which pool.map keeps, so the report does not depend on the worker
+    count.
     """
     cfg = cfg or GridConfig()
     cfg.validate()
@@ -528,8 +532,8 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=use_basis_table,
                                  initargs=(active_basis_table(),)) as pool:
-            results = list(pool.map(_evaluate_point, points,
-                                    chunksize=math.ceil(len(points) / workers)))
+            results = tuple(pool.map(_evaluate_point, points,
+                                     chunksize=math.ceil(len(points) / workers)))
     else:
-        results = list(map(_evaluate_point, points))
-    return VerificationReport(tuple(sorted(results, key=CheckResult.sort_key)))
+        results = tuple(map(_evaluate_point, points))
+    return VerificationReport(results, cfg)

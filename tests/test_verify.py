@@ -420,18 +420,55 @@ class TestGrid:
 
     def test_json_schema(self):
         cfg = GridConfig(
-            ks=(2,), n_max=3, ij_max=1, identities=("catalan", "finite_sum"),
+            ks=(1, 2), n_max=10, ij_max=1, identities=("catalan", "finite_sum"),
         )
-        doc = json.loads(run_grid(cfg).to_json())
+        text = run_grid(cfg).to_json()
+        doc = json.loads(text)
+        assert doc["schema_version"] == 2
         assert doc["tool"] == "mersenne-octonions"
         assert set(doc["summary"]) == {"PASS", "FAIL", "SKIPPED"}
         assert doc["input_errors"] == []
         assert len(doc["discrepancies"]) == 3
         for entry in doc["results"]:
-            assert entry["status"] in ("PASS", "FAIL", "SKIPPED")
+            assert entry["status"] in ("PASS", "SKIPPED")
             assert entry["family"] in ("mersenne", "mersenne-lucas")
-            if entry["status"] == "PASS":
-                assert entry["residual"] == ["0"] * 8
+            assert entry["residual"] is None
+        assert doc["summary"]["SKIPPED"] > 0
+        # one row per line, each a JSON object on its own
+        header, *lines, end = text.splitlines()
+        assert header.endswith('"results":[') and end == "]}"
+        rows = [json.loads(line.removesuffix(",")) for line in lines]
+        assert rows == doc["results"]
+        # grid order: n = 2 before n = 10, which a string sort reverses
+        ns = [r["params"]["n"] for r in rows if r["identity"] == "finite_sum"
+              and r["family"] == "mersenne" and r["params"]["k"] == 2]
+        assert ns.index(2) < ns.index(10)
+        assert [(r["identity"], r["family"], r["params"]) for r in rows] == [
+            (name, family.value, params) for name, family, params in verify._grid_points(cfg)]
+        # a FAIL row keeps its 8 residual coordinates
+        with corrupted_basis_table():
+            doc = json.loads(run_grid(GridConfig(ks=(2,), n_max=3, identities=("cassini",)))
+                             .to_json())
+        failed = [r["residual"] for r in doc["results"] if r["status"] == "FAIL"]
+        assert failed
+        for residual in failed:
+            assert len(residual) == 8 and all(isinstance(c, str) for c in residual)
+            assert any(c != "0" for c in residual)
+
+    def test_report_records_its_config(self):
+        cfg = GridConfig(ks=(3, 1), n_max=4, ij_max=2, families=(ML,),
+                         identities=("vajda", "binet"))
+        text = run_grid(cfg).to_json()
+        config = json.loads(text)["config"]
+        assert config == {"ks": [3, 1], "n_max": 4, "ij_max": 2,
+                          "families": ["mersenne-lucas"], "identities": ["vajda", "binet"]}
+        again = GridConfig(
+            ks=tuple(config["ks"]), n_max=config["n_max"], ij_max=config["ij_max"],
+            families=tuple(map(Family, config["families"])),
+            identities=tuple(config["identities"]),
+        )
+        assert again == cfg
+        assert run_grid(again).to_json() == text
 
     def test_discrepancy_ledger_mentions_denominator(self, default_report):
         joined = " ".join(default_report.discrepancies)
@@ -443,13 +480,23 @@ class TestGrid:
         # pinned byte for byte, serial: any change to it is a change to
         # the tool's output and must be declared as one
         digest = hashlib.sha256(default_report.to_json().encode()).hexdigest()
-        assert digest == "2ce8b51fcb906f586ade3e49dcd5cf715e52f8d9aed4b80bc16ecc3fff2f0fff"
+        assert digest == "678e411e401209d5a24184339d080b86debf76b0fbe8c4f4972f43e787cedd49"
 
     def test_summary_table_shape(self, default_report):
         table = default_report.summary_table()
         assert "catalan" in table
         assert "total" in table
         assert "discrepancy ledger:" in table
+
+    def test_summary_table_columns_line_up(self):
+        # every selected name is shorter than the header's "identity"
+        cfg = GridConfig(ks=(2,), n_max=2, ij_max=0, identities=("vajda",))
+        header, *rows = run_grid(cfg).summary_table().split("\n\n")[0].splitlines()
+        assert [row.split()[0] for row in rows] == ["vajda", "vajda", "total"]
+        for row in rows:
+            assert len(row) == len(header)
+        for row, family in zip(rows, ("mersenne", "mersenne-lucas")):
+            assert row.index(family) == header.index("family")
 
     def test_parallel_run_matches_serial(self, monkeypatch):
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
