@@ -25,7 +25,7 @@ from itertools import islice
 from . import __version__
 from .octonion import corrupted_basis_table
 from .sequences import Family, seq_fast, seq_terms, seq_value
-from .verify import IDENTITIES, ConfigError, GridConfig, run_grid
+from .verify import IDENTITIES, ConfigError, GridConfig, _grid_points, run_grid
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -131,6 +131,14 @@ def cmd_verify(args) -> int:
                     else tuple(args.identities.split(","))),
     )
     try:
+        # the grid runs each identity from its first n (Cassini's is 1) up
+        # to n_max, so N means 0..N and a later start would be dropped
+        if ".." in args.n and ns.start:
+            cfg.validate()
+            first = min((p["n"] for _, _, p in _grid_points(cfg) if "n" in p), default=0)
+            if ns.start > first:
+                raise ConfigError(f"verify runs n from {first}: give --n N or "
+                                  f"--n {first}..N, not {args.n!r}")
         with corrupted_basis_table() if args.corrupt_table else nullcontext():
             report = run_grid(cfg)
     except ConfigError as exc:
@@ -205,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the identity verification grid")
     common(sp, k_default="1..5")
-    sp.add_argument("--n", default="0..24", help="n range (n_max is used)")
+    sp.add_argument("--n", default="0..24",
+                    help="N or 0..N: n runs from 0 (Cassini's from 1) to N")
     sp.add_argument("--ij-max", type=int, default=8)
     sp.add_argument("--family", choices=sorted(_FAMILIES), default="both")
     sp.add_argument("--identities", default=None,

@@ -3,9 +3,9 @@
 Every check computes its two sides by independent routes: the left side
 from the defining recurrence with integer octonion arithmetic, the
 right side from the alpha/beta constants in the quadratic quotient ring
-followed by rational projection.  A check passes exactly when the
-residual (left minus right) is the zero octonion, so a failure is
-diagnosable down to a single coordinate.
+followed by rational projection.  A check passes exactly when the two
+sides are equal; a failure carries the residual (left minus right), so
+it is diagnosable down to a single coordinate.
 
 The non-commutativity of alpha and beta is why Catalan and Cassini come
 in two factor orderings ("lr" and "rl"); both are checked.
@@ -21,11 +21,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import __version__
 from .octonion import Octonion, active_basis_table, use_basis_table
@@ -70,24 +71,27 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        """The report row; the residual is null unless it is nonzero."""
-        residual = None
-        if self.residual is not None and not self.residual.is_zero():
-            residual = [str(c) for c in self.residual.coords]
+        """The report row; the residual is null unless the row FAILs.
+        family and status are str enum members, encoded as their values."""
         return {
             "identity": self.identity,
-            "family": self.family.value,
+            "family": self.family,
             "params": dict(self.params),
-            "status": self.status.value,
-            "residual": residual,
+            "status": self.status,
+            "residual": ([str(c) for c in self.residual.coords]
+                         if self.status is Status.FAIL else None),
             "note": self.note,
         }
 
 
+# the residual of every PASS row, shared: a pool pickles it once per chunk
+_ZERO = Octonion.zero()
+
+
 def _result(identity, family, params, lhs, rhs, note="") -> CheckResult:
-    residual = lhs - rhs
-    status = Status.PASS if residual.is_zero() else Status.FAIL
-    return CheckResult(identity, family, params, status, residual, note)
+    if lhs == rhs:
+        return CheckResult(identity, family, params, Status.PASS, _ZERO, note)
+    return CheckResult(identity, family, params, Status.FAIL, lhs - rhs, note)
 
 
 def _is_int(value) -> bool:
@@ -320,8 +324,7 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
                 "genfunc_ordinary", family, params, c, expected,
                 note=f"first mismatch at coefficient {n}",
             )
-    zero = Octonion.zero()
-    return _result("genfunc_ordinary", family, params, zero, zero,
+    return _result("genfunc_ordinary", family, params, _ZERO, _ZERO,
                    note="denominator 1 - 3kx + 2x^2 per derivation")
 
 
@@ -442,16 +445,21 @@ class VerificationReport:
     config: GridConfig
     discrepancies = DISCREPANCIES  # a class constant, not a field
 
+    @cached_property
+    def _counts(self) -> Counter:
+        """Results per (identity, family, status), counted in one walk."""
+        return Counter((r.identity, r.family, r.status) for r in self.results)
+
     @property
     def summary(self) -> dict:
         summary = {s.value: 0 for s in Status}
-        for r in self.results:
-            summary[r.status.value] += 1
+        for (_, _, status), count in self._counts.items():
+            summary[status.value] += count
         return summary
 
     @property
     def failed(self) -> bool:
-        return self.summary[Status.FAIL.value] > 0
+        return any(status is Status.FAIL for _, _, status in self._counts)
 
     def to_dict(self) -> dict:
         return {
@@ -477,29 +485,15 @@ class VerificationReport:
 
     def summary_table(self) -> str:
         """Human-readable per-identity tally."""
-        rows = {}
-        for r in self.results:
-            key = (r.identity, r.family.value)
-            tally = rows.setdefault(key, {s.value: 0 for s in Status})
-            tally[r.status.value] += 1
+        counts = self._counts
+        rows = sorted({(identity, family) for identity, family, _ in counts})
         width = max([len("identity")] + [len(i) for i, _ in rows])
-        lines = [
-            f"{'identity':<{width}}  {'family':<14}  {'PASS':>6}  {'FAIL':>6}  {'SKIPPED':>7}"
-        ]
-        for (identity, family), tally in sorted(rows.items()):
-            lines.append(
-                f"{identity:<{width}}  {family:<14}  {tally['PASS']:>6}  "
-                f"{tally['FAIL']:>6}  {tally['SKIPPED']:>7}"
-            )
-        total = self.summary
-        lines.append(
-            f"{'total':<{width}}  {'':<14}  {total['PASS']:>6}  "
-            f"{total['FAIL']:>6}  {total['SKIPPED']:>7}"
-        )
-        lines.append("")
-        lines.append("discrepancy ledger:")
-        for d in self.discrepancies:
-            lines.append(f"  - {d}")
+        cells = [("identity", "family", *(s.value for s in Status))]
+        cells += [(i, f.value, *(counts[i, f, s] for s in Status)) for i, f in rows]
+        cells.append(("total", "", *self.summary.values()))
+        lines = [f"{name:<{width}}  {family:<14}  {ok:>6}  {bad:>6}  {skip:>7}"
+                 for name, family, ok, bad, skip in cells]
+        lines += ["", "discrepancy ledger:", *(f"  - {d}" for d in self.discrepancies)]
         return "\n".join(lines) + "\n"
 
 

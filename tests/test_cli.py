@@ -116,6 +116,22 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_n_is_n_max_and_a_later_start_is_usage_error(self, capsys):
+        # every identity runs from its first n, so N means 0..N (Cassini
+        # runs from 1) and a range that starts later cannot be honoured
+        args = ["verify", "--k", "2", "--ij-max", "1", "--format", "json"]
+        code, out, _ = run_cli(capsys, *args, "--n", "0..6")
+        assert code == 0 and json.loads(out)["config"]["n_max"] == 6
+        assert run_cli(capsys, *args, "--n", "6") == (0, out, "")
+        cassini = [*args, "--identities", "cassini"]
+        _, out, _ = run_cli(capsys, *cassini, "--n", "6")
+        assert run_cli(capsys, *cassini, "--n", "1..6") == (0, out, "")
+        for argv in ([*args, "--n", "5..6"], [*args, "--n", "1..6"],
+                     [*cassini, "--n", "5..24"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_genfunc_follows_k(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "2..4", "--n", "0..2",

@@ -504,6 +504,13 @@ class TestGrid:
         monkeypatch.setenv("MERSOCT_MAX_WORKERS", "2")
         parallel = run_grid(cfg)
         assert serial.to_json() == parallel.to_json()
+        # FAIL rows carry their residuals across the pool unchanged
+        with corrupted_basis_table():
+            parallel = run_grid(cfg)
+            monkeypatch.setenv("MERSOCT_MAX_WORKERS", "1")
+            serial = run_grid(cfg)
+        assert serial.summary["FAIL"] > 0
+        assert serial.to_json() == parallel.to_json()
 
     def test_worker_count_is_clamped(self, monkeypatch):
         # a pool starts all its workers up front, so a huge request must
