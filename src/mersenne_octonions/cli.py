@@ -131,11 +131,11 @@ def cmd_verify(args) -> int:
                     else tuple(args.identities.split(","))),
     )
     try:
-        # the grid runs each identity from its first n (Cassini's is 1) up
-        # to n_max, so N means 0..N and a later start would be dropped
+        # identities run from their first n (Cassini's is 1) to n_max: N means
+        # 0..N, a later start would be dropped, and with no n axis any start does
         if ".." in args.n and ns.start:
             cfg.validate()
-            first = min((p["n"] for _, _, p in _grid_points(cfg) if "n" in p), default=0)
+            first = min((p["n"] for _, _, p in _grid_points(cfg) if "n" in p), default=ns.start)
             if ns.start > first:
                 raise ConfigError(f"verify runs n from {first}: give --n N or "
                                   f"--n {first}..N, not {args.n!r}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .octonion import Octonion, cd_mul
-from .quadratic import QuadElem, discriminant, lam, zero
+from .quadratic import QuadElem, discriminant, lam
 from .sequences import Family, _check_params, seq_window
 
 
@@ -32,8 +32,8 @@ class InternalInconsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class AlphaBeta:
     """The closed forms' constants at the roots lam1, lam2: alpha =
-    sum_r lam1^r e_r, beta = sum_r lam2^r e_r and their products
-    ab = alpha beta and ba = beta alpha, which differ."""
+    sum_r lam1^r e_r, beta = sum_r lam2^r e_r, their products
+    ab = alpha beta and ba = beta alpha, which differ, and their norms."""
 
     lam1: QuadElem | int
     lam2: QuadElem | int
@@ -42,6 +42,7 @@ class AlphaBeta:
     beta: Octonion
     ab: Octonion
     ba: Octonion
+    norms: tuple  # (|alpha|^2, |beta|^2) = (sum_r lam1^(2r), sum_r lam2^(2r))
 
     def powers(self, e: int) -> tuple:
         """(lam1^e, lam2^e); the ring's come from one cached power."""
@@ -49,11 +50,6 @@ class AlphaBeta:
             return self.lam1**e, self.lam2**e
         p = _lam_pow(self.lam1.k, e)
         return p, p.conj()
-
-    def over_root_diff(self, x: Octonion) -> Octonion:
-        """x / (lam1 - lam2) in int coordinates, as x (lam1 - lam2) / disc."""
-        rd = self.lam1 - self.lam2
-        return project_rational(x.map_coords(lambda q: q * rd), self.disc)
 
 
 def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
@@ -76,7 +72,8 @@ def _alpha_beta(k: int, split: bool) -> AlphaBeta:
     lam1, lam2, disc = (2, 1, 1) if split else (lam(k), lam(k).conj(), discriminant(k))
     alpha = Octonion(tuple(lam1**r for r in range(8)))
     beta = Octonion(tuple(lam2**r for r in range(8)))
-    return AlphaBeta(lam1, lam2, disc, alpha, beta, cd_mul(alpha, beta), cd_mul(beta, alpha))
+    return AlphaBeta(lam1, lam2, disc, alpha, beta, cd_mul(alpha, beta), cd_mul(beta, alpha),
+                     (alpha.norm_sq(), beta.norm_sq()))
 
 
 @lru_cache(maxsize=1024)
@@ -120,7 +117,9 @@ def oct_seq_closed(family: Family, k: int, n: int, split: bool = False) -> Octon
     ab = alpha_beta(k, split)
     p1, p2 = ab.powers(n)
     if Family(family) is Family.MERSENNE:
-        return ab.over_root_diff(ab.alpha.scale(p1) - ab.beta.scale(p2))
+        # over lam1 - lam2 as a product with it, then exactly over disc
+        x = (ab.alpha.scale(p1) - ab.beta.scale(p2)).scale(ab.lam1 - ab.lam2)
+        return project_rational(x, ab.disc)
     return project_rational(ab.alpha.scale(p1) + ab.beta.scale(p2))
 
 
@@ -132,19 +131,17 @@ def seq_binet(family: Family, k: int, n: int) -> int:
 
 
 def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:
-    """Squared norm by closed form:
+    """Squared norm by closed form, with |alpha|^2 = sum_r lam1^(2r):
 
-        lam1^(2n) * sum_r lam1^(2r)  +  lam2^(2n) * sum_r lam2^(2r)
-        -+ 255 * 2^(n+1),
+        lam1^(2n) |alpha|^2  +  lam2^(2n) |beta|^2  -+  255 * 2^(n+1),
 
     minus and divided by 9k^2 - 8 for the Mersenne family, plus and
     undivided for the Lucas family.
     """
-    s1 = sum((_lam_pow(k, 2 * r) for r in range(8)), start=zero(k))
-    s2 = s1.conj()
-    p1 = _lam_pow(k, 2 * n)
-    val = p1 * s1 + p1.conj() * s2
+    ab = alpha_beta(k)
+    (p1, p2), (s1, s2) = ab.powers(2 * n), ab.norms
+    val = p1 * s1 + p2 * s2
     tail = 255 * 2 ** (n + 1)
     if Family(family) is Family.MERSENNE:
-        return _exact(val - tail, discriminant(k))
+        return _exact(val - tail, ab.disc)
     return _exact(val + tail)

@@ -30,8 +30,9 @@ from functools import cached_property, lru_cache
 
 from . import __version__
 from .octonion import Octonion, active_basis_table, use_basis_table
-from .oct_sequences import alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed
-from .sequences import Family, seq_value
+from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed,
+                            project_rational)
+from .sequences import Family
 
 DISCREPANCIES = (
     "conjugate display: the stated conjugates write the real part as the "
@@ -184,25 +185,27 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 # Catalan, Cassini, d'Ocagne and Vajda are each a difference of products
 # S[a]S[b] - S[c]S[d] with a + b = c + d, so the alpha^2 and beta^2 terms
 # cancel and each right side is one scaling of Vajda's,
-#     S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n M[k,i] _core(j).
+#     S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n _core(i, j).
 # Products taken in the reverse order are Vajda's identity in the
 # opposite algebra, where alpha beta and beta alpha trade places.  The
 # cache is bounded so that a long-lived process stays small; it holds
-# the 584 cores the default grid asks for.
+# the 1,632 cores the default grid asks for.
 
-@lru_cache(maxsize=2048)
-def _core(family: Family, k: int, j: int, opposite: bool,
+@lru_cache(maxsize=4096)
+def _core(family: Family, k: int, i: int, j: int, opposite: bool,
           specialized: bool) -> Octonion:
-    """Vajda's right side with the scalar 2^n M[k,i] stripped, in the
-    opposite algebra if opposite is set; always integer-coordinated.
-    At the roots of alpha_beta(k, specialized), the Mersenne core is
-    (beta alpha lam1^j - alpha beta lam2^j)/(lam1 - lam2)."""
+    """Vajda's right side with 2^n stripped, in the opposite algebra if
+    opposite is set; always integer-coordinated.  At the roots of
+    alpha_beta(k, specialized), the Mersenne core is
+    (beta alpha lam1^j - alpha beta lam2^j)(lam1^i - lam2^i)/(lam1 - lam2)^2."""
     ab = alpha_beta(k, specialized)
-    p1, p2 = ab.powers(j)
+    (p1, p2), (q1, q2) = ab.powers(j), ab.powers(i)
     x, y = (ab.ab, ab.ba) if opposite else (ab.ba, ab.ab)
-    core = ab.over_root_diff(x.scale(p1) - y.scale(p2))
-    # the Lucas core is -(lam1 - lam2)^2 times the Mersenne one
-    return core if family is Family.MERSENNE else core.scale(-ab.disc)
+    core = (x.scale(p1) - y.scale(p2)).scale(q1 - q2)
+    # the Lucas core is the same product negated, undivided
+    if family is Family.MERSENNE:
+        return project_rational(core, ab.disc)
+    return project_rational(-core)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
@@ -220,8 +223,7 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     lo, hi, mid = oct_seq(family, k, n - r), oct_seq(family, k, n + r), oct_seq(family, k, n)
     lhs = (hi * lo if ordering == "lr" else lo * hi) - mid * mid
     # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
-    core = _core(family, k, r, ordering == "lr", specialized)
-    rhs = core.scale(-(2 ** (n - r)) * seq_value(Family.MERSENNE, k, r))
+    rhs = _core(family, k, r, r, ordering == "lr", specialized).scale(-(2 ** (n - r)))
     params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
     return _result("catalan", family, params, lhs, rhs)
 
@@ -246,7 +248,7 @@ def check_cassini(family: Family, k: int, n: int,
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     prev, nxt, mid = oct_seq(family, k, n - 1), oct_seq(family, k, n + 1), oct_seq(family, k, n)
     lhs = (nxt * prev if ordering == "lr" else prev * nxt) - mid * mid
-    rhs = _core(family, k, 1, ordering == "lr", specialized).scale(-(2 ** (n - 1)))
+    rhs = _core(family, k, 1, 1, ordering == "lr", specialized).scale(-(2 ** (n - 1)))
     note = ""
     if specialized and family is Family.MERSENNE_LUCAS:
         note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
@@ -266,9 +268,9 @@ def check_docagne(family: Family, k: int, n: int, r: int,
         - oct_seq(family, k, r + 1) * oct_seq(family, k, n)
     )
     if r <= n:  # Vajda at (r, 1, n - r), negated
-        rhs = _core(family, k, n - r, False, specialized).scale(-(2**r))
+        rhs = _core(family, k, 1, n - r, False, specialized).scale(-(2**r))
     else:  # Vajda at (n, 1, r - n) in the opposite algebra
-        rhs = _core(family, k, r - n, True, specialized).scale(2**n)
+        rhs = _core(family, k, 1, r - n, True, specialized).scale(2**n)
     params = {"k": k, "n": n, "r": r, "specialized": specialized}
     return _result("docagne", family, params, lhs, rhs)
 
@@ -284,8 +286,7 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
         oct_seq(family, k, n + i) * oct_seq(family, k, n + j)
         - oct_seq(family, k, n) * oct_seq(family, k, n + i + j)
     )
-    core = _core(family, k, j, False, specialized)
-    rhs = core.scale(2**n * seq_value(Family.MERSENNE, k, i))
+    rhs = _core(family, k, i, j, False, specialized).scale(2**n)
     params = {"k": k, "n": n, "i": i, "j": j, "specialized": specialized}
     return _result("vajda", family, params, lhs, rhs)
 

@@ -126,6 +126,10 @@ class TestVerify:
         cassini = [*args, "--identities", "cassini"]
         _, out, _ = run_cli(capsys, *cassini, "--n", "6")
         assert run_cli(capsys, *cassini, "--n", "1..6") == (0, out, "")
+        # the generating function has no n axis, so any range is accepted
+        genfunc = [*args, "--identities", "genfunc_ordinary"]
+        _, out, _ = run_cli(capsys, *genfunc, "--n", "5")
+        assert run_cli(capsys, *genfunc, "--n", "1..5") == (0, out, "")
         for argv in ([*args, "--n", "5..6"], [*args, "--n", "1..6"],
                      [*cassini, "--n", "5..24"]):
             code, out, err = run_cli(capsys, *argv)

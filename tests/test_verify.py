@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mersenne_octonions.octonion import corrupted_basis_table
 from mersenne_octonions.sequences import Family, seq_value, seq_window
 from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed
-from mersenne_octonions import oct_sequences, verify
+from mersenne_octonions import oct_sequences, sequences, verify
 from mersenne_octonions.verify import (
     IDENTITIES,
     ConfigError,
@@ -226,12 +226,17 @@ class TestOtherChecks:
 
 class TestRightSideCores:
     def test_core_is_int(self):
+        # the folded scalar is the recurrence's M[k,i]: the core at i is
+        # the core at i = 1 (where M[k,1] = 1) scaled by it
         for family in (M, ML):
             for opposite in (False, True):
-                for j in range(8):
-                    for k, sp in ((1, True), (1, False), (2, False), (3, False)):
-                        core = verify._core(family, k, j, opposite, sp)
-                        assert all(type(c) is int for c in core.coords)
+                for i in range(9):
+                    for j in range(9):
+                        for k, sp in ((1, True), (1, False), (2, False), (3, False)):
+                            core = verify._core(family, k, i, j, opposite, sp)
+                            assert all(type(c) is int for c in core.coords)
+                            unit = verify._core(family, k, 1, j, opposite, sp)
+                            assert core == unit.scale(seq_value(M, k, i)), (family, k, i, j)
 
     def test_split_is_the_k1_corollary(self):
         # the k = 1 pass runs the general forms at lam1 = 2, lam2 = 1,
@@ -245,29 +250,32 @@ class TestRightSideCores:
         assert (split.lam1, split.lam2, split.disc) == (2, 1, 1)
         for family in (M, ML):
             for opposite in (False, True):
-                for j in range(25):
-                    assert (verify._core(family, 1, j, opposite, True)
-                            == verify._core(family, 1, j, opposite, False)), (family, opposite, j)
+                for i in range(9):
+                    for j in range(25):
+                        assert (verify._core(family, 1, i, j, opposite, True)
+                                == verify._core(family, 1, i, j, opposite, False)), \
+                            (family, opposite, i, j)
             for n in range(41):
                 assert oct_seq_closed(family, 1, n, split=True) == oct_seq_closed(family, 1, n)
 
     def test_caches_hold_the_default_grid(self, monkeypatch):
-        # one key per distinct core the default grid asks for: Catalan
-        # and Cassini take their products reversed in "lr", d'Ocagne
-        # when r > n
+        # one key per distinct core (i, j) the default grid asks for:
+        # Catalan (r, r), Cassini (1, 1), d'Ocagne (1, |n - r|) and Vajda
+        # (i, j); Catalan and Cassini take their products reversed in
+        # "lr", d'Ocagne when r > n
         keys = set()
         for name, family, p in verify._grid_points(GridConfig()):
             k, sp = p["k"], p.get("specialized")
             if name == "catalan":
-                keys.add((family, k, p["r"], p["ordering"] == "lr", sp))
+                keys.add((family, k, p["r"], p["r"], p["ordering"] == "lr", sp))
             elif name == "cassini":
-                keys.add((family, k, 1, p["ordering"] == "lr", sp))
+                keys.add((family, k, 1, 1, p["ordering"] == "lr", sp))
             elif name == "docagne":
                 d = p["n"] - p["r"]
-                keys.add((family, k, abs(d), d < 0, sp))
+                keys.add((family, k, 1, abs(d), d < 0, sp))
             elif name == "vajda":
-                keys.add((family, k, p["j"], False, sp))
-        assert len(keys) == 584
+                keys.add((family, k, p["i"], p["j"], False, sp))
+        assert len(keys) == 1632
         maxsize = verify._core.cache_info().maxsize
         assert maxsize is not None and maxsize >= len(keys)
         # the caches below are pinned by the most keys one command fills,
@@ -293,6 +301,35 @@ class TestRightSideCores:
             assert cache.cache_info().maxsize >= 2 * n
         # oct_seq caches the same keys, so seq_window's own cache only missed
         assert not hasattr(seq_window, "cache_info")
+
+
+    def test_right_sides_never_read_the_recurrence(self, monkeypatch):
+        # with every left-side octonion cached, the checks reach the
+        # recurrence only through a right side, which must not use it
+        n_max = 4
+        for family in (M, ML):
+            for k in (1, 2, 3):
+                for n in range(2 * n_max + 4):
+                    oct_seq(family, k, n)
+        verify._core.cache_clear()
+
+        def recurrence(*args):
+            raise AssertionError("a right side ran the recurrence")
+
+        monkeypatch.setattr(sequences, "seq_terms", recurrence)
+        for family in (M, ML):
+            for k, sp in ((1, True), (1, False), (2, False), (3, False)):
+                for n in range(n_max + 1):
+                    results = [check_binet(family, k, n, sp), check_norm_closed(family, k, n)]
+                    if n:
+                        results += [check_cassini(family, k, n, o, sp) for o in ("lr", "rl")]
+                    for r in range(n + 1):
+                        results += [check_catalan(family, k, n, r, o, sp) for o in ("lr", "rl")]
+                    # d'Ocagne with r <= n and with r > n
+                    results += [check_docagne(family, k, n, r, sp) for r in range(n + 3)]
+                    results += [check_vajda(family, k, n, i, j, sp)
+                                for i in range(3) for j in range(3)]
+                    assert all(r.status is Status.PASS for r in results), (family, k, n)
 
 
 class TestCorruptedTable:
