@@ -6,10 +6,10 @@ Subcommands:
   verify  run the identity grid; exit 0 iff no check FAILs
   bench   time the naive vs logarithmic sequence evaluators
 
-All numbers are exact decimal integers or fraction strings; no
-scientific notation.  Exit codes: 0 success, 1 an identity check
-failed (or a bench cross-check mismatch), 2 usage or I/O error, so CI
-can tell a violated identity from a broken environment.
+All numbers are exact decimal integers; no scientific notation.  Exit
+codes: 0 success, 1 an identity check failed (or a bench cross-check
+mismatch), 2 usage or I/O error, so CI can tell a violated identity
+from a broken environment.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ is the scalar Binet form, seq_binet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .octonion import Octonion, cd_mul
@@ -76,7 +75,8 @@ def _alpha_beta(k: int, split: bool) -> AlphaBeta:
                      (alpha.norm_sq(), beta.norm_sq()))
 
 
-@lru_cache(maxsize=1024)
+# typed: True and 3.0 equal 1 and 3 as keys, and must reach the checks
+@lru_cache(maxsize=1024, typed=True)
 def oct_seq(family: Family, k: int, n: int) -> Octonion:
     """Defining form: coordinate r is the scalar sequence at n+r."""
     return Octonion(seq_window(family, k, n, 8))
@@ -89,14 +89,15 @@ def oct_seq_conj(family: Family, k: int, n: int) -> Octonion:
 
 
 def _exact(c, divisor: int = 1) -> int:
-    """The rational c (a QuadElem with zero L-coordinate, an int or a
-    Fraction) divided by divisor, as an int: the one drop to Z.  A
-    leftover L-coordinate raises NonRationalError, and a fractional
-    part InternalInconsistencyError."""
-    v = c.rational() if isinstance(c, QuadElem) else Fraction(c)
-    if v.denominator != 1 or v.numerator % divisor:
-        raise InternalInconsistencyError(f"non-integer value {v / divisor}")
-    return v.numerator // divisor
+    """The integer c (a QuadElem with zero L-coordinate, or an int)
+    divided exactly by divisor: the one drop to Z.  A leftover
+    L-coordinate raises NonRationalError, and a nonzero remainder
+    InternalInconsistencyError, which names the quotient exactly."""
+    v = c.rational() if isinstance(c, QuadElem) else c
+    q, rem = divmod(v, divisor)
+    if rem:
+        raise InternalInconsistencyError(f"non-integer value {v}/{divisor}")
+    return q
 
 
 def project_rational(x: Octonion, divisor: int = 1) -> Octonion:
@@ -138,6 +139,7 @@ def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:
     minus and divided by 9k^2 - 8 for the Mersenne family, plus and
     undivided for the Lucas family.
     """
+    _check_params(k, n)
     ab = alpha_beta(k)
     (p1, p2), (s1, s2) = ab.powers(2 * n), ab.norms
     val = p1 * s1 + p2 * s2

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the quotient ring Q[L] / (L^2 - 3k*L + 2).
+"""Exact arithmetic in the quotient ring Z[L] / (L^2 - 3k*L + 2).
 
 The residue class of L stands for the larger root lam1 of the
 characteristic polynomial x^2 - 3k*x + 2, and its conjugate 3k - L
@@ -10,16 +10,15 @@ division the closed forms need, by the root difference lam1 - lam2, is
 taken in oct_sequences as a product with lam1 - lam2 followed by an
 exact integer division by the discriminant.
 
-Coordinates are exact rationals kept in their cheapest form: a plain
-int whenever the value is integral, a Fraction only when it is not.
-The closed forms live almost entirely in Z[L], so most operations are
-machine-fast int arithmetic with no gcd.
+Every closed form is an integer combination of powers of the roots,
+so the coordinates are plain ints.  The public constructor checks them
+once; the arithmetic builds its results unchecked, since a sum or
+product of ints is an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class NonRationalError(ValueError):
@@ -40,48 +39,40 @@ def discriminant(k: int) -> int:
     return 9 * k * k - 8
 
 
-def _coord(x):
-    """The exact rational x as an int if it is integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 _setattr = object.__setattr__
 
 
-def _new(k: int, a, b) -> "QuadElem":
-    """Build an element of a ring already known to be valid, skipping
-    the k check of __init__ (the arithmetic's constructor)."""
+def _new(k: int, a: int, b: int) -> "QuadElem":
+    """Build an element from a valid k and int coordinates, skipping
+    the checks of __init__ (the arithmetic's constructor)."""
     e = object.__new__(QuadElem)
     _setattr(e, "k", k)
-    _setattr(e, "a", _coord(a))
-    _setattr(e, "b", _coord(b))
+    _setattr(e, "a", a)
+    _setattr(e, "b", b)
     return e
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class QuadElem:
-    """Element a + b*L of Q[L]/(L^2 - 3k*L + 2), stored exactly.
+    """Element a + b*L of Z[L]/(L^2 - 3k*L + 2), with int coordinates.
 
     Immutable; all operations return new elements.  Mixed-k arithmetic
     raises RingMismatchError since it silently corrupts results
-    otherwise.  int and Fraction operands act as constants of the same
-    ring; a rational-valued element (b = 0) compares and hashes equal
-    to its rational value.  Each coordinate is an int when integral and
-    a Fraction otherwise.
+    otherwise.  int operands act as constants of the same ring; an
+    integer-valued element (b = 0) compares and hashes equal to its
+    integer value.  k must be an int >= 1 (ValueError otherwise) and a,
+    b ints (TypeError otherwise); a bool is neither.
     """
 
     k: int
-    a: int | Fraction
-    b: int | Fraction
+    a: int
+    b: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        _setattr(self, "a", _coord(self.a))
-        _setattr(self, "b", _coord(self.b))
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        if type(self.a) is not int or type(self.b) is not int:
+            raise TypeError(f"coordinates must be ints, got {self.a!r}, {self.b!r}")
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
@@ -89,7 +80,7 @@ class QuadElem:
                 # only rational values are comparable across rings
                 return self.b == other.b == 0 and self.a == other.a
             return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.b == 0 and self.a == other
         return NotImplemented
 
@@ -105,7 +96,7 @@ class QuadElem:
                     f"cannot combine elements with k={self.k} and k={other.k}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return _new(self.k, other, 0)
         return NotImplemented
 
@@ -163,12 +154,11 @@ class QuadElem:
         exactly the rational elements."""
         return _new(self.k, self.a + 3 * self.k * self.b, -self.b)
 
-    def rational(self) -> Fraction:
-        """Rational value, as a Fraction, of an element with zero
-        L-coordinate."""
+    def rational(self) -> int:
+        """Integer value a of an element with zero L-coordinate."""
         if self.b != 0:
             raise NonRationalError(self)
-        return Fraction(self.a)
+        return self.a
 
     def __str__(self):
         return f"({self.a} + {self.b}*L | k={self.k})"

@@ -29,10 +29,11 @@ def _initial(family: Family, k: int):
 
 
 def _check_params(k: int, n: int):
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    """k and n must be ints (a bool is not one), k >= 1 and n >= 0."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
 
 
 def seq_terms(family: Family, k: int, n: int):

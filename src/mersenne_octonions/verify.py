@@ -25,7 +25,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import __version__
@@ -338,9 +337,12 @@ def check_finite_sum(family: Family, k: int, n: int,
     applicable closed form.
 
     The general-k formula divides by 3(1-k) and is excluded at k=1;
-    requesting it there yields SKIPPED.  At k=1 the specialized form
-    S[n+1] - (alpha +- n*beta) applies, with alpha, beta at the split
-    lam1=2, lam2=1.
+    requesting it there yields SKIPPED.  For k >= 2, where 3(1-k) is
+    nonzero, it is checked multiplied through: 3(1-k) times the sum
+    against the formula's numerator.  Both sides stay integers, and a
+    FAIL residual is 3(1-k) times the stated form's.  At k=1 the
+    specialized form S[n+1] - (alpha +- n*beta) applies, with alpha,
+    beta at the split lam1=2, lam2=1.
     """
     _check_common(family, k, False, n=n)
     if form not in ("auto", "general", "specialized"):
@@ -359,13 +361,13 @@ def check_finite_sum(family: Family, k: int, n: int,
     for j in range(1, n + 1):
         lhs = lhs + oct_seq(family, k, j)
     if form == "general":
-        num = (
+        lhs = lhs.scale(3 * (1 - k))
+        rhs = (
             oct_seq(family, k, n).scale(2)
             - oct_seq(family, k, n + 1)
             + oct_seq(family, k, 1)
             + oct_seq(family, k, 0).scale(1 - 3 * k)
         )
-        rhs = num.scale(Fraction(1, 3 * (1 - k)))
     else:
         ab = alpha_beta(1, True)
         tail = ab.alpha + ab.beta.scale(n if family is Family.MERSENNE else -n)

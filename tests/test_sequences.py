@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mersenne_octonions.oct_sequences import seq_binet
+from mersenne_octonions.oct_sequences import (
+    oct_seq,
+    oct_seq_closed,
+    oct_seq_norm_sq_closed,
+    seq_binet,
+)
 from mersenne_octonions.sequences import (
     Family,
     seq_fast,
@@ -116,6 +121,30 @@ class TestEquivalenceAndGrowth:
                         - seq_value(M, k, n) ** 2
                     )
                     assert lhs == -(2 ** (n - r)) * seq_value(M, k, r) ** 2
+
+
+class TestBadParams:
+    """k and n must be ints (a bool is not one) with k >= 1 and n >= 0.
+    Every evaluator rejects anything else with a ValueError, never a
+    float result, an InternalInconsistencyError or a cached value."""
+
+    @pytest.mark.parametrize("fn", [
+        seq_value, seq_fast, seq_window, seq_binet,
+        oct_seq, oct_seq_closed, oct_seq_norm_sq_closed,
+    ], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("k, n, match", [
+        (1.5, 3, "k must be a positive integer"),
+        (True, 3, "k must be a positive integer"),
+        (0, 3, "k must be a positive integer"),
+        (2, 3.0, "n must be nonnegative"),
+        (2, True, "n must be nonnegative"),
+        (2, -1, "n must be nonnegative"),
+    ])
+    def test_rejected(self, fn, k, n, match):
+        # fill any cache at the int keys that 1.5, True and 3.0 equal
+        fn(M, 1, 3), fn(M, 2, 1), fn(M, 2, 3)
+        with pytest.raises(ValueError, match=match):
+            fn(M, k, n)
 
 
 class TestFamilyByName:

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mersenne_octonions.octonion import corrupted_basis_table
+from mersenne_octonions.octonion import Octonion, corrupted_basis_table
 from mersenne_octonions.sequences import Family, seq_value, seq_window
 from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed
 from mersenne_octonions import oct_sequences, sequences, verify
@@ -184,6 +184,17 @@ class TestFiniteSum:
         assert res.status is Status.PASS
         # e0 shadow: m[2] - (alpha0 - 1*beta0) = 5 - 0 = 5 = m[0] + m[1]
         assert seq_value(ML, 1, 2) - 0 == 5 == seq_value(ML, 1, 0) + seq_value(ML, 1, 1)
+
+    def test_general_fail_residual_is_an_integer(self, monkeypatch):
+        # one more e0 in the n = 2 term, which only the sum reads, shows
+        # as 3(1-k) times that error: the sum is checked multiplied through
+        def shifted(family, k, n):
+            return oct_seq(family, k, n) + Octonion.basis(0, int(n == 2))
+
+        monkeypatch.setattr(verify, "oct_seq", shifted)
+        res = check_finite_sum(M, 2, 4)
+        assert res.status is Status.FAIL
+        assert res.to_dict()["residual"] == ["-3"] + ["0"] * 7
 
     def test_general_form_skipped_at_k1(self):
         res = check_finite_sum(M, 1, 3, form="general")
