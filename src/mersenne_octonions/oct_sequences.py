@@ -64,10 +64,11 @@ def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
 
 # Each bound is at least twice the most keys one command fills: the
 # default grid (oct_seq 490, _alpha_beta 6), a verify at n <= 120 (_lam_pow 362).
-@lru_cache(maxsize=16)
+# typed: True and 1.0 equal 1 as keys, and must not be served k = 1's constants
+@lru_cache(maxsize=16, typed=True)
 def _alpha_beta(k: int, split: bool) -> AlphaBeta:
-    if split and k != 1:
-        raise ValueError(f"the split lam1 = 2, lam2 = 1 holds only at k = 1, got k={k}")
+    if split and (type(k) is not int or k != 1):
+        raise ValueError(f"the split lam1 = 2, lam2 = 1 holds only at k = 1, got k={k!r}")
     lam1, lam2, disc = (2, 1, 1) if split else (lam(k), lam(k).conj(), discriminant(k))
     alpha = Octonion(tuple(lam1**r for r in range(8)))
     beta = Octonion(tuple(lam2**r for r in range(8)))

@@ -80,9 +80,15 @@ def _compile_product(table: tuple):
 _products = [_compile_product((SIGN, INDEX))]
 
 
+def _active_product():
+    """The compiled product in force: its identity keys caches of table
+    products, so that each table gets its own entries."""
+    return _products[-1]
+
+
 def active_basis_table() -> tuple:
     """The (sign, index) basis table products currently use."""
-    return _products[-1].table
+    return _active_product().table
 
 
 def use_basis_table(table: tuple) -> None:

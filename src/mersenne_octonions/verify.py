@@ -28,7 +28,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 from . import __version__
-from .octonion import Octonion, active_basis_table, use_basis_table
+from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
 from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed,
                             project_rational)
 from .sequences import Family
@@ -102,6 +102,15 @@ def _check_common(family, k: int, specialized: bool, **counts):
     """The guard every check runs first: family is a Family, specialized
     a bool, k and each of the (one or more) counts n, r, i, j, terms are
     ints, k >= 1 and the counts are >= 0."""
+    # every valid call of the grid passes this one test; whatever fails
+    # it, an int subclass included, is judged by the rules below in turn
+    if type(family) is Family and type(k) is int and k >= 1 and (
+            specialized is False or specialized is True and k == 1):
+        for value in counts.values():
+            if type(value) is not int or value < 0:
+                break
+        else:
+            return
     # a string equals its Family member as a cache key, not by identity
     if not isinstance(family, Family):
         raise ParamError(f"not a family: {family!r}")
@@ -207,6 +216,21 @@ def _core(family: Family, k: int, i: int, j: int, opposite: bool,
     return project_rational(-core)
 
 
+# The left sides take their products S[a]S[b] by the table from one
+# cache, keyed by the compiled product in force, so that the mutation
+# hook's table gets its own entries.  The default grid takes 70,696
+# products, 10,600 of them distinct.  Grid order (identity, family, k,
+# n) keeps the products one block needs close together, so 1,024 entries
+# miss 17,530 times, and twice as many would still miss 17,218 times;
+# holding all 10,600 raised a run's peak memory by some 7 MB.
+
+@lru_cache(maxsize=1024, typed=True)
+def _table_product(family: Family, k: int, a: int, b: int, product) -> Octonion:
+    """oct_seq(family, k, a) * oct_seq(family, k, b); product, the
+    compiled product in force, is only part of the key."""
+    return oct_seq(family, k, a) * oct_seq(family, k, b)
+
+
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
                         for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)
                         for r in range(n + 1) for o in _ORDERINGS))
@@ -219,8 +243,9 @@ def check_catalan(family: Family, k: int, n: int, r: int,
         raise ParamError(f"unknown ordering {ordering!r}")
     if r > n:
         raise ParamError(f"need 0 <= r <= n, got r={r}, n={n}")
-    lo, hi, mid = oct_seq(family, k, n - r), oct_seq(family, k, n + r), oct_seq(family, k, n)
-    lhs = (hi * lo if ordering == "lr" else lo * hi) - mid * mid
+    a, b = (n + r, n - r) if ordering == "lr" else (n - r, n + r)
+    product = _active_product()
+    lhs = _table_product(family, k, a, b, product) - _table_product(family, k, n, n, product)
     # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
     rhs = _core(family, k, r, r, ordering == "lr", specialized).scale(-(2 ** (n - r)))
     params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
@@ -245,8 +270,9 @@ def check_cassini(family: Family, k: int, n: int,
         raise ParamError(f"unknown ordering {ordering!r}")
     if n < 1:
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
-    prev, nxt, mid = oct_seq(family, k, n - 1), oct_seq(family, k, n + 1), oct_seq(family, k, n)
-    lhs = (nxt * prev if ordering == "lr" else prev * nxt) - mid * mid
+    a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
+    product = _active_product()
+    lhs = _table_product(family, k, a, b, product) - _table_product(family, k, n, n, product)
     rhs = _core(family, k, 1, 1, ordering == "lr", specialized).scale(-(2 ** (n - 1)))
     note = ""
     if specialized and family is Family.MERSENNE_LUCAS:
@@ -262,10 +288,9 @@ def check_docagne(family: Family, k: int, n: int, r: int,
                   specialized: bool = False) -> CheckResult:
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
     _check_common(family, k, specialized, n=n, r=r)
-    lhs = (
-        oct_seq(family, k, r) * oct_seq(family, k, n + 1)
-        - oct_seq(family, k, r + 1) * oct_seq(family, k, n)
-    )
+    product = _active_product()
+    lhs = (_table_product(family, k, r, n + 1, product)
+           - _table_product(family, k, r + 1, n, product))
     if r <= n:  # Vajda at (r, 1, n - r), negated
         rhs = _core(family, k, 1, n - r, False, specialized).scale(-(2**r))
     else:  # Vajda at (n, 1, r - n) in the opposite algebra
@@ -281,10 +306,9 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
                 specialized: bool = False) -> CheckResult:
     """S[n+i]S[n+j] - S[n]S[n+i+j] against the closed right side."""
     _check_common(family, k, specialized, n=n, i=i, j=j)
-    lhs = (
-        oct_seq(family, k, n + i) * oct_seq(family, k, n + j)
-        - oct_seq(family, k, n) * oct_seq(family, k, n + i + j)
-    )
+    product = _active_product()
+    lhs = (_table_product(family, k, n + i, n + j, product)
+           - _table_product(family, k, n, n + i + j, product))
     rhs = _core(family, k, i, j, False, specialized).scale(2**n)
     params = {"k": k, "n": n, "i": i, "j": j, "specialized": specialized}
     return _result("vajda", family, params, lhs, rhs)

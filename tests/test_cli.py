@@ -47,6 +47,12 @@ class TestSeq:
         assert code == 2
         assert "error" in err
 
+    def test_n_past_maxsize_is_usage_error(self, capsys):
+        # one run of the recurrence takes no index past sys.maxsize
+        code, out, err = run_cli(capsys, "seq", "--n", "99999999999999999999")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_writes_file(self, tmp_path, capsys):
         out_file = tmp_path / "seq.csv"
         code, _, _ = run_cli(capsys, "seq", "--n", "0..2", "-o", str(out_file))
@@ -67,6 +73,12 @@ class TestOct:
         code, out, _ = run_cli(capsys, "oct", "--k", "2", "--n", "0..1")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["family"] for r in rows} == {"mersenne", "mersenne-lucas"}
+
+    @pytest.mark.parametrize("n", ["99999999999999999999", "0..99999999999999999999"])
+    def test_n_past_maxsize_is_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "oct", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -270,6 +282,11 @@ class TestBench:
     def test_negative_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--n-values", "-5")
         assert code == 2
+
+    def test_n_past_maxsize_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n-values", "5,99999999999999999999")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_integer_n_rejected(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--n-values", "5,x")

@@ -106,6 +106,23 @@ class TestAlphaBeta:
         assert alpha_beta(2) is alpha_beta(2, False) is alpha_beta(2, split=False)
         assert alpha_beta(1, True) is alpha_beta(1, split=True)
 
+    def test_k_equal_to_1_is_not_served_k1(self, run_fresh):
+        # in a fresh interpreter, so that the k = 1 entries are known to
+        # be cached before True and 1.0, which equal 1 as keys, are asked
+        proc = run_fresh("""
+            from mersenne_octonions.oct_sequences import alpha_beta
+
+            alpha_beta(1), alpha_beta(1, True)
+            for k, split in (True, False), (1.0, False), (True, True), (1.0, True):
+                try:
+                    alpha_beta(k, split)
+                except ValueError:
+                    pass
+                else:
+                    raise AssertionError(f"alpha_beta({k!r}, {split}) was served k = 1")
+        """)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestClosedForm:
     def test_lucas_n0_is_alpha_plus_beta(self):

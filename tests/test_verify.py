@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import enum
 import hashlib
 import json
 import random
@@ -221,6 +222,32 @@ class TestCheckCommon:
             with pytest.raises(ParamError):
                 check(*args, **kwargs)
 
+    @pytest.mark.parametrize("family, k, specialized, counts, message", [
+        ("mersenne", 2, False, {"n": 1}, "not a family: 'mersenne'"),
+        (M, 0, False, {"n": 1}, "k must be a positive integer, got 0"),
+        (M, True, False, {"n": 1}, "k must be an integer, got True"),
+        (M, 2, False, {"n": 3, "r": True}, "r must be an integer, got True"),
+        (M, 2, False, {"n": 3, "r": 1.0}, "r must be an integer, got 1.0"),
+        (M, 2, False, {"n": 3, "i": 0, "j": -1}, "need n, i, j >= 0, got n=3, i=0, j=-1"),
+        (M, 1, [1], {"n": 1}, "specialized must be a bool, got [1]"),
+        (M, 1, 1, {"n": 1}, "specialized must be a bool, got 1"),
+        (M, 2, True, {"n": 1}, "specialized forms are defined only at k=1"),
+    ])
+    def test_each_rule_and_its_message(self, family, k, specialized, counts, message):
+        # the guard alone, so that no input reaches a cache
+        with pytest.raises(ParamError) as exc:
+            verify._check_common(family, k, specialized, **counts)
+        assert str(exc.value) == message
+
+    def test_int_subclass_is_an_int(self):
+        class Three(enum.IntEnum):
+            THREE = 3
+
+        assert verify._check_common(M, 1, True, n=Three.THREE) is None
+        res = check_vajda(M, 2, 1, Three.THREE, 1)
+        assert res.status is Status.PASS
+        assert res == check_vajda(M, 2, 1, 3, 1)
+
 
 class TestOtherChecks:
     def test_binet(self):
@@ -294,7 +321,7 @@ class TestRightSideCores:
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences._alpha_beta,
-                verify._core]
+                verify._core, verify._table_product]
         bounded = cold[:3]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
@@ -305,6 +332,16 @@ class TestRightSideCores:
             if cfg == GridConfig():
                 # the grid fills exactly the keys derived above
                 assert verify._core.cache_info().currsize == len(keys)
+                # every left-side product goes through the product cache:
+                # two per Catalan, Cassini, d'Ocagne and Vajda point, of
+                # which 10,600 are distinct.  Grid order keeps each block's
+                # products close together, so 1,024 entries miss 17,530
+                # times; a grid order that lost that locality would miss
+                # far more often
+                products = verify._table_product.cache_info()
+                assert products.hits + products.misses == 70_696
+                assert products.misses <= 21_000
+                assert products.maxsize == 1024
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
         # _alpha_beta: five general k plus the k = 1 split
         assert needed == [490, 362, 6]
@@ -367,6 +404,29 @@ class TestCorruptedTable:
                 failed = {(r.identity, r.params.get("specialized")) for r in report.results
                           if r.status is Status.FAIL}
                 assert failed == expected, (i, j)
+
+    def test_warm_products_do_not_hide_a_corrupted_table(self):
+        # the clean run fills the left sides' product cache first; the
+        # corrupted table must still be the one the products come from,
+        # and the clean table again after it
+        points = [
+            (check_catalan, (M, 2, 4, 2, "lr")),
+            (check_catalan, (ML, 2, 4, 2, "rl")),
+            (check_catalan, (M, 1, 4, 2, "lr", True)),
+            (check_cassini, (M, 3, 3, "rl")),
+            (check_docagne, (M, 2, 4, 1)),  # r <= n
+            (check_docagne, (ML, 2, 2, 4)),  # r > n
+            (check_vajda, (M, 2, 2, 1, 2)),
+            (check_vajda, (ML, 1, 3, 2, 1, True)),
+        ]
+
+        def statuses():
+            return [check(*args).status for check, args in points]
+
+        assert statuses() == [Status.PASS] * len(points)
+        with corrupted_basis_table():
+            assert statuses() == [Status.FAIL] * len(points)
+        assert statuses() == [Status.PASS] * len(points)
 
     def test_clean_after_corruption(self):
         with corrupted_basis_table():
