@@ -38,20 +38,20 @@ _FAMILIES = {
 }
 
 
-# n indexes one run of the recurrence through itertools.islice, which
-# takes no index past sys.maxsize
-_N_MAX = sys.maxsize
+# n indexes one run of the recurrence through itertools.islice, and
+# verify holds its k range in a tuple: neither takes a size past this
+_RANGE_MAX = sys.maxsize
 
 
-def _parse_range(spec: str, what: str, lo: int, hi: int | None = None) -> range:
+def _parse_range(spec: str, what: str, lo: int) -> range:
     """Parse 'A..B' or a single integer into an inclusive range within
-    lo..hi (no upper bound if hi is None)."""
+    lo.._RANGE_MAX."""
     a, sep, b = spec.partition("..")
     try:
         start, stop = int(a), int(b if sep else a)
     except ValueError:
         raise SystemExit2(f"invalid {what} range: {spec!r}")
-    if start < lo or stop < start or (hi is not None and stop > hi):
+    if start < lo or stop < start or stop > _RANGE_MAX:
         raise SystemExit2(f"empty or out-of-bounds {what} range: {spec!r}")
     return range(start, stop + 1)
 
@@ -97,7 +97,7 @@ def _output(path: str | None):
 
 def cmd_seq(args) -> int:
     ks = _parse_range(args.k, "k", 1)
-    ns = _parse_range(args.n, "n", 0, _N_MAX)
+    ns = _parse_range(args.n, "n", 0)
     with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["k", "n", "mersenne", "mersenne_lucas"])
@@ -110,7 +110,7 @@ def cmd_seq(args) -> int:
 
 def cmd_oct(args) -> int:
     ks = _parse_range(args.k, "k", 1)
-    ns = _parse_range(args.n, "n", 0, _N_MAX)
+    ns = _parse_range(args.n, "n", 0)
     with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["family", "k", "n"] + [f"e{r}" for r in range(8)])
@@ -127,7 +127,7 @@ def cmd_oct(args) -> int:
 
 def cmd_verify(args) -> int:
     ks = _parse_range(args.k, "k", 1)
-    ns = _parse_range(args.n, "n", 0, _N_MAX)
+    ns = _parse_range(args.n, "n", 0)
     cfg = GridConfig(
         ks=tuple(ks),
         n_max=max(ns),
@@ -162,8 +162,8 @@ def cmd_bench(args) -> int:
         ns = [int(x) for x in args.n_values.split(",")]
     except ValueError:
         raise SystemExit2(f"invalid bench n values: {args.n_values!r}")
-    if any(n < 0 or n > _N_MAX for n in ns):
-        raise SystemExit2(f"bench n values must lie in 0..{_N_MAX}")
+    if any(n < 0 or n > _RANGE_MAX for n in ns):
+        raise SystemExit2(f"bench n values must lie in 0..{_RANGE_MAX}")
     if args.repeat < 1:
         raise SystemExit2(f"--repeat must be at least 1, got {args.repeat}")
     with _output(args.output) as out:

@@ -47,9 +47,11 @@ class TestSeq:
         assert code == 2
         assert "error" in err
 
-    def test_n_past_maxsize_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("arg, spec", [("--n", "99999999999999999999"),
+                                           ("--k", "99999999999999999999")])
+    def test_range_past_maxsize_is_usage_error(self, capsys, arg, spec):
         # one run of the recurrence takes no index past sys.maxsize
-        code, out, err = run_cli(capsys, "seq", "--n", "99999999999999999999")
+        code, out, err = run_cli(capsys, "seq", arg, spec)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -74,14 +76,19 @@ class TestOct:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["family"] for r in rows} == {"mersenne", "mersenne-lucas"}
 
-    @pytest.mark.parametrize("n", ["99999999999999999999", "0..99999999999999999999"])
-    def test_n_past_maxsize_is_usage_error(self, capsys, n):
-        code, out, err = run_cli(capsys, "oct", "--n", n)
+    def test_n_past_maxsize_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "oct", "--n", "99999999999999999999")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:
+    def test_k_range_past_maxsize_is_usage_error(self, capsys):
+        # the k range becomes a tuple, which has no length past sys.maxsize
+        code, out, err = run_cli(capsys, "verify", "--k", "1..99999999999999999999")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_small_grid_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "1..2", "--n", "0..4",
