@@ -94,28 +94,16 @@ def _result(identity, family, params, lhs, rhs, note="") -> CheckResult:
     return CheckResult(identity, family, params, Status.FAIL, lhs - rhs, note)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_common(family, k: int, specialized: bool, **counts):
-    """The guard every check runs first: family is a Family, specialized
-    a bool, k and each of the (one or more) counts n, r, i, j, terms are
-    ints, k >= 1 and the counts are >= 0."""
-    # every valid call of the grid passes this one test; whatever fails
-    # it, an int subclass included, is judged by the rules below in turn
-    if type(family) is Family and type(k) is int and k >= 1 and (
-            specialized is False or specialized is True and k == 1):
-        for value in counts.values():
-            if type(value) is not int or value < 0:
-                break
-        else:
-            return
+    """The guard every check runs first: family is a Family, k and each
+    of the (one or more) counts n, r, i, j, terms are ints (a bool or an
+    int subclass is not one), k >= 1, the counts are >= 0, and
+    specialized is a bool, set only at k = 1."""
     # a string equals its Family member as a cache key, not by identity
-    if not isinstance(family, Family):
+    if type(family) is not Family:
         raise ParamError(f"not a family: {family!r}")
     for name, value in ("k", k), *counts.items():
-        if not _is_int(value):
+        if type(value) is not int:
             raise ParamError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise ParamError(f"k must be a positive integer, got {k}")
@@ -123,7 +111,7 @@ def _check_common(family, k: int, specialized: bool, **counts):
         got = ", ".join(f"{name}={value}" for name, value in counts.items())
         raise ParamError(f"need {', '.join(counts)} >= 0, got {got}")
     # specialized keys the right-side caches, so it must be hashable
-    if not isinstance(specialized, bool):
+    if type(specialized) is not bool:
         raise ParamError(f"specialized must be a bool, got {specialized!r}")
     if specialized and k != 1:
         raise ParamError("specialized forms are defined only at k=1")
@@ -368,13 +356,11 @@ def check_finite_sum(family: Family, k: int, n: int,
     specialized form S[n+1] - (alpha +- n*beta) applies, with alpha,
     beta at the split lam1=2, lam2=1.
     """
-    _check_common(family, k, False, n=n)
+    _check_common(family, k, form == "specialized", n=n)
     if form not in ("auto", "general", "specialized"):
         raise ParamError(f"unknown form {form!r}")
     if form == "auto":
         form = "general" if k >= 2 else "specialized"
-    if form == "specialized" and k != 1:
-        raise ParamError("the specialized finite sum is defined only at k=1")
     params = {"k": k, "n": n, "form": form}
     if form == "general" and k == 1:
         return CheckResult(
@@ -428,10 +414,10 @@ class GridConfig:
         for name in ("ks", "families", "identities"):
             if not isinstance(getattr(self, name), tuple):
                 raise ConfigError(f"{name} must be a tuple")
-        if not all(map(_is_int, self.ks)):
+        if not all(type(k) is int for k in self.ks):
             raise ConfigError("ks must hold integers")
         for name in ("n_max", "ij_max"):
-            if not _is_int(getattr(self, name)):
+            if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer")
         if not self.ks or min(self.ks) < 1:
             raise ConfigError("ks must be a non-empty tuple of integers >= 1")

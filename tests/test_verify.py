@@ -203,8 +203,10 @@ class TestFiniteSum:
         assert "3(1-k)" in res.note
 
     def test_specialized_requires_k1(self):
-        with pytest.raises(ParamError):
+        # the guard's rule, not one of the check's own
+        with pytest.raises(ParamError) as exc:
             check_finite_sum(M, 2, 3, form="specialized")
+        assert str(exc.value) == "specialized forms are defined only at k=1"
 
 
 class TestCheckCommon:
@@ -232,6 +234,11 @@ class TestCheckCommon:
         (M, 1, [1], {"n": 1}, "specialized must be a bool, got [1]"),
         (M, 1, 1, {"n": 1}, "specialized must be a bool, got 1"),
         (M, 2, True, {"n": 1}, "specialized forms are defined only at k=1"),
+        # several faults at once: the first rule in order names one
+        ("x", True, [1], {"n": -1}, "not a family: 'x'"),
+        (M, True, 1, {"n": -1}, "k must be an integer, got True"),
+        (M, 0, [1], {"n": -1}, "k must be a positive integer, got 0"),
+        (M, 2, True, {"n": -1}, "need n >= 0, got n=-1"),
     ])
     def test_each_rule_and_its_message(self, family, k, specialized, counts, message):
         # the guard alone, so that no input reaches a cache
@@ -239,14 +246,21 @@ class TestCheckCommon:
             verify._check_common(family, k, specialized, **counts)
         assert str(exc.value) == message
 
-    def test_int_subclass_is_an_int(self):
+    def test_int_subclass_is_not_an_int(self):
+        # the package's one integer rule, type(v) is int, as in
+        # sequences._check_params: an IntEnum count is a ParamError
         class Three(enum.IntEnum):
             THREE = 3
 
-        assert verify._check_common(M, 1, True, n=Three.THREE) is None
-        res = check_vajda(M, 2, 1, Three.THREE, 1)
-        assert res.status is Status.PASS
-        assert res == check_vajda(M, 2, 1, 3, 1)
+        with pytest.raises(ParamError) as exc:
+            verify._check_common(M, 1, True, n=Three.THREE)
+        assert str(exc.value) == "n must be an integer, got <Three.THREE: 3>"
+        with pytest.raises(ParamError) as exc:
+            check_vajda(M, 2, 1, Three.THREE, 1)
+        assert str(exc.value) == "i must be an integer, got <Three.THREE: 3>"
+        with pytest.raises(ParamError) as exc:
+            check_binet(M, 2, Three.THREE)
+        assert str(exc.value) == "n must be an integer, got <Three.THREE: 3>"
 
 
 class TestOtherChecks:
@@ -486,6 +500,19 @@ class TestGrid:
         ):
             with pytest.raises(ConfigError):
                 run_grid(GridConfig(**kwargs))
+
+    @pytest.mark.parametrize("field", ["ks", "n_max", "ij_max"])
+    def test_int_subclass_is_a_config_error(self, field):
+        # an IntEnum member is not an int here either, so it never
+        # reaches a check (ks) or a range (n_max, ij_max)
+        class Two(enum.IntEnum):
+            TWO = 2
+
+        cfg = GridConfig(**{field: (Two.TWO,) if field == "ks" else Two.TWO})
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_grid(cfg)
 
     @settings(max_examples=100, deadline=None)
     @given(st.fixed_dictionaries(_fields),
