@@ -156,6 +156,13 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 
+def _timed(fn, k: int, n: int) -> tuple:
+    """(nanoseconds, value) of one call fn(Family.MERSENNE, k, n)."""
+    t0 = time.perf_counter_ns()
+    value = fn(Family.MERSENNE, k, n)
+    return time.perf_counter_ns() - t0, value
+
+
 def cmd_bench(args) -> int:
     ks = _parse_range(args.k, "k", 1)
     try:
@@ -171,25 +178,17 @@ def cmd_bench(args) -> int:
         w.writerow(["k", "n", "method", "nanoseconds", "digits"])
         for k in ks:
             for n in ns:
-                timings = {}
-                values = {}
-                for name, fn in (("recurrence", seq_value), ("matrix_power", seq_fast)):
-                    best = None
-                    for _ in range(args.repeat):
-                        t0 = time.perf_counter_ns()
-                        v = fn(Family.MERSENNE, k, n)
-                        dt = time.perf_counter_ns() - t0
-                        best = dt if best is None else min(best, dt)
-                    timings[name], values[name] = best, v
-                if values["recurrence"] != values["matrix_power"]:
+                # (name, the fastest repeat's time, its value): all repeats agree
+                rows = [(name, *min(_timed(fn, k, n) for _ in range(args.repeat)))
+                        for name, fn in (("recurrence", seq_value), ("matrix_power", seq_fast))]
+                if rows[0][2] != rows[1][2]:
                     print(
                         f"error: evaluator mismatch at k={k}, n={n}",
                         file=sys.stderr,
                     )
                     return EXIT_CHECK_FAILED
-                digits = len(str(abs(values["recurrence"]))) if values["recurrence"] else 1
-                for name in ("recurrence", "matrix_power"):
-                    w.writerow([k, n, name, timings[name], digits])
+                for name, best, value in rows:
+                    w.writerow([k, n, name, best, len(str(abs(value)))])
     return EXIT_OK
 
 

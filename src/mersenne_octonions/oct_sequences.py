@@ -59,6 +59,9 @@ def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
     stored basis table, so the right side of every identity is computed
     on a code path fully independent of the table data the left side
     exercises."""
+    # before the cache: 1 and "yes" would each get an entry, [1] no hash
+    if type(split) is not bool:
+        raise ValueError(f"split must be a bool, got {split!r}")
     return _alpha_beta(k, split)  # positional: one cache key per (k, split)
 
 

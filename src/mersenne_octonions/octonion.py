@@ -92,9 +92,10 @@ def active_basis_table() -> tuple:
 
 
 def use_basis_table(table: tuple) -> None:
-    """Make table the active one for the rest of this process (the
-    pool initializer that carries the parent's table into a worker)."""
-    _products[:] = [_compile_product(table)]
+    """Compile table in place of the top of the stack (the pool
+    initializer that carries the parent's table into a worker); a
+    mutation hook that is on still pops back to the entries below."""
+    _products[-1] = _compile_product(table)
 
 
 @contextmanager

@@ -320,22 +320,16 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
     _check_common(family, k, False, terms=terms)
     if terms < 2:
         raise ParamError(f"need at least 2 terms, got {terms}")
-    # c0 = S0 and c1 = 3k*c0 + (S1 - 3k*S0) = S1; thereafter the
-    # numerator is exhausted and c follows the bare recurrence.
-    c_pp = oct_seq(family, k, 0)
-    c_p = oct_seq(family, k, 1)
-    series = [c_pp, c_p]
-    for _ in range(terms - 2):
-        c_pp, c_p = c_p, c_p.scale(3 * k) - c_pp.scale(2)
-        series.append(c_p)
+    # c0 = S0 and c1 = 3k*c0 + (S1 - 3k*S0) = S1 are the seeds; thereafter
+    # the numerator is exhausted and c follows the bare recurrence.
+    c_pp, c_p = oct_seq(family, k, 0), oct_seq(family, k, 1)
     params = {"k": k, "terms": terms}
-    for n, c in enumerate(series):
+    for n in range(2, terms):
+        c_pp, c_p = c_p, c_p.scale(3 * k) - c_pp.scale(2)
         expected = oct_seq(family, k, n)
-        if c != expected:
-            return _result(
-                "genfunc_ordinary", family, params, c, expected,
-                note=f"first mismatch at coefficient {n}",
-            )
+        if c_p != expected:
+            return _result("genfunc_ordinary", family, params, c_p, expected,
+                           note=f"first mismatch at coefficient {n}")
     return _result("genfunc_ordinary", family, params, _ZERO, _ZERO,
                    note="denominator 1 - 3kx + 2x^2 per derivation")
 

@@ -278,13 +278,31 @@ class TestBench:
         assert {r["method"] for r in rows} == {"recurrence", "matrix_power"}
         assert all(int(r["nanoseconds"]) >= 0 for r in rows)
 
-    def test_digit_count_at_n100(self, capsys):
+    # 2^100 - 1 has 31 decimal digits, and M[0] = 0 has one
+    @pytest.mark.parametrize("n, digits", [(100, 31), (0, 1)])
+    def test_digit_count_at_n100(self, capsys, n, digits):
         code, out, _ = run_cli(
-            capsys, "bench", "--k", "1", "--n-values", "100", "--repeat", "1"
+            capsys, "bench", "--k", "1", "--n-values", str(n), "--repeat", "1"
         )
         rows = list(csv.DictReader(io.StringIO(out)))
-        # 2^100 - 1 has 31 decimal digits
-        assert all(int(r["digits"]) == 31 for r in rows)
+        assert len(rows) == 2
+        assert all(int(r["digits"]) == digits for r in rows)
+
+    def test_evaluator_mismatch_fails(self, capsys, monkeypatch):
+        # the matrix power one off at n = 9 only: n = 7 gets its two rows,
+        # n = 9 none, and the run stops there
+        from mersenne_octonions import cli
+        from mersenne_octonions.sequences import seq_value
+
+        monkeypatch.setattr(cli, "seq_fast",
+                            lambda family, k, n: seq_value(family, k, n) + (n == 9))
+        code, out, err = run_cli(
+            capsys, "bench", "--k", "2", "--n-values", "7,9,11", "--repeat", "2"
+        )
+        assert code == 1
+        assert err == "error: evaluator mismatch at k=2, n=9\n"
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["n"], r["method"]) for r in rows] == [("7", "recurrence"), ("7", "matrix_power")]
 
     def test_negative_n_rejected(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--n-values", "-5")

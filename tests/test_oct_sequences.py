@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mersenne_octonions import oct_sequences
 from mersenne_octonions.octonion import Octonion
 from mersenne_octonions.oct_sequences import (
     InternalInconsistencyError,
@@ -100,6 +101,16 @@ class TestAlphaBeta:
     def test_split_needs_k1(self):
         with pytest.raises(ValueError):
             alpha_beta(2, split=True)
+
+    @pytest.mark.parametrize("split", [1, "yes", [1]], ids=["int", "str", "list"])
+    def test_split_must_be_a_bool(self, split):
+        # rejected before the cache, which would hold one entry per spelling
+        size = oct_sequences._alpha_beta.cache_info().currsize
+        with pytest.raises(ValueError, match="split must be a bool"):
+            alpha_beta(1, split)
+        with pytest.raises(ValueError, match="split must be a bool"):
+            oct_seq_closed(M, 1, 3, split=split)
+        assert oct_sequences._alpha_beta.cache_info().currsize == size
 
     def test_one_value_per_k_and_split(self):
         # however the call spells split, it is one cache entry

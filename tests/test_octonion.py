@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mersenne_octonions import octonion
 from mersenne_octonions.octonion import (
     INDEX,
     SIGN,
     Octonion,
+    active_basis_table,
     associator,
     cd_mul,
     corrupted_basis_table,
+    use_basis_table,
 )
 from mersenne_octonions.quadratic import QuadElem, lam
 
@@ -232,3 +235,16 @@ class TestCorruptionHook:
         with corrupted_basis_table(1, 2):
             assert e1 * e2 == Octonion.basis(3, -1)
         assert e1 * e2 == Octonion.basis(3)
+
+    def test_worker_initializer_inside_the_hook(self, monkeypatch):
+        # the pool initializer replaces only the top of the stack, so the
+        # hook still pops back to the true table
+        monkeypatch.setattr(octonion, "_products", list(octonion._products))
+        e1, e2 = Octonion.basis(1), Octonion.basis(2)
+        with corrupted_basis_table(1, 2):
+            use_basis_table(active_basis_table())
+            assert e1 * e2 == Octonion.basis(3, -1)
+        assert e1 * e2 == Octonion.basis(3)
+        # and a fresh worker's one-entry stack ends with only the given table
+        use_basis_table(active_basis_table())
+        assert len(octonion._products) == 1

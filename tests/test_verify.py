@@ -170,6 +170,18 @@ class TestGenfunc:
         with pytest.raises(ParamError):
             check_genfunc_ordinary(M, 1, 1)
 
+    def test_first_mismatch_fails(self, monkeypatch):
+        # one more e0 in S[5]: the expansion, run from the true S[0] and
+        # S[1], first differs at coefficient 5, by minus that e0
+        def shifted(family, k, n):
+            return oct_seq(family, k, n) + Octonion.basis(0, int(n == 5))
+
+        monkeypatch.setattr(verify, "oct_seq", shifted)
+        res = check_genfunc_ordinary(M, 2, 8)
+        assert res.status is Status.FAIL
+        assert res.note == "first mismatch at coefficient 5"
+        assert res.to_dict()["residual"] == ["-1"] + ["0"] * 7
+
 
 class TestFiniteSum:
     def test_general_k2_with_scalar_shadow(self):
