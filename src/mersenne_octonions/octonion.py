@@ -114,16 +114,32 @@ def corrupted_basis_table(i: int = 1, j: int = 2):
         _products.pop()
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+def _new(coords: tuple) -> "Octonion":
+    """Build an octonion from a tuple of 8 coordinates, skipping the
+    checks of __post_init__ (the arithmetic's constructor)."""
+    o = object.__new__(Octonion)
+    _setattr(o, "coords", coords)
+    return o
+
+
+@dataclass(frozen=True, slots=True)
 class Octonion:
-    """Immutable octonion with 8 exact scalar coordinates e0..e7."""
+    """Immutable octonion with 8 exact scalar coordinates e0..e7.
+
+    The public constructor takes any iterable of 8 coordinates (a
+    ValueError otherwise) and stores them as a tuple; the arithmetic
+    builds its results unchecked."""
 
     coords: tuple
 
     def __post_init__(self):
-        if len(self.coords) != 8:
+        coords = tuple(self.coords)
+        if len(coords) != 8:
             raise ValueError("an octonion has exactly 8 coordinates")
-        object.__setattr__(self, "coords", tuple(self.coords))
+        _setattr(self, "coords", coords)
 
     @classmethod
     def basis(cls, r: int, scale=1) -> "Octonion":
@@ -138,29 +154,29 @@ class Octonion:
     def __add__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(tuple(map(add, self.coords, other.coords)))
+        return _new(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(tuple(map(sub, self.coords, other.coords)))
+        return _new(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self):
-        return Octonion(tuple(map(neg, self.coords)))
+        return _new(tuple(map(neg, self.coords)))
 
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(_products[-1](self.coords, other.coords))
+        return _new(_products[-1](self.coords, other.coords))
 
     def scale(self, s) -> "Octonion":
         """Multiply every coordinate by the scalar s."""
-        return Octonion(tuple([x * s for x in self.coords]))
+        return _new(tuple([x * s for x in self.coords]))
 
     def conj(self) -> "Octonion":
         """Negate the seven imaginary coordinates."""
         c = self.coords
-        return Octonion((c[0], *map(neg, c[1:])))
+        return _new((c[0], *map(neg, c[1:])))
 
     def norm_sq(self):
         """Squared norm: the sum of squared coordinates.
@@ -174,7 +190,7 @@ class Octonion:
         return self.coords.count(0) == 8
 
     def map_coords(self, f) -> "Octonion":
-        return Octonion(tuple(map(f, self.coords)))
+        return _new(tuple(map(f, self.coords)))
 
     def __str__(self):
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
@@ -220,4 +236,4 @@ def cd_mul(a: Octonion, b: Octonion) -> Octonion:
     p2, q2 = b.coords[:4], b.coords[4:]
     lo = _qsub(_qmul(p1, p2), _qmul(_qconj(q2), q1))
     hi = _qadd(_qmul(q2, p1), _qmul(q1, _qconj(p2)))
-    return Octonion(lo + hi)
+    return _new(lo + hi)

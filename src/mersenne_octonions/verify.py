@@ -22,10 +22,10 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import sub
 
 from . import __version__
 from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
@@ -88,10 +88,13 @@ class CheckResult:
 _ZERO = Octonion.zero()
 
 
-def _result(identity, family, params, lhs, rhs, note="") -> CheckResult:
+def _result(identity, family, params, lhs: tuple, rhs: tuple, note="") -> CheckResult:
+    """PASS when the two sides' coordinate tuples are equal; only a FAIL
+    builds octonions, for its residual."""
     if lhs == rhs:
         return CheckResult(identity, family, params, Status.PASS, _ZERO, note)
-    return CheckResult(identity, family, params, Status.FAIL, lhs - rhs, note)
+    return CheckResult(identity, family, params, Status.FAIL,
+                       Octonion(lhs) - Octonion(rhs), note)
 
 
 def _check_common(family, k: int, specialized: bool, **counts):
@@ -161,7 +164,7 @@ def check_binet(family: Family, k: int, n: int,
     lhs = oct_seq(family, k, n)
     rhs = oct_seq_closed(family, k, n, specialized)
     params = {"k": k, "n": n, "specialized": specialized}
-    return _result("binet", family, params, lhs, rhs)
+    return _result("binet", family, params, lhs.coords, rhs.coords)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n} for k in cfg.ks for n in range(cfg.n_max + 1)))
@@ -173,7 +176,7 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
     closed = oct_seq_norm_sq_closed(family, k, n)
     lhs = Octonion.basis(0, direct)
     rhs = Octonion.basis(0, closed)
-    return _result("norm_closed", family, {"k": k, "n": n}, lhs, rhs)
+    return _result("norm_closed", family, {"k": k, "n": n}, lhs.coords, rhs.coords)
 
 
 # --- Catalan, Cassini, d'Ocagne and Vajda ----------------------------
@@ -213,10 +216,24 @@ def _core(family: Family, k: int, i: int, j: int, opposite: bool,
 # holding all 10,600 raised a run's peak memory by some 7 MB.
 
 @lru_cache(maxsize=1024, typed=True)
-def _table_product(family: Family, k: int, a: int, b: int, product) -> Octonion:
-    """oct_seq(family, k, a) * oct_seq(family, k, b); product, the
-    compiled product in force, is only part of the key."""
-    return oct_seq(family, k, a) * oct_seq(family, k, b)
+def _table_product(family: Family, k: int, a: int, b: int, product) -> tuple:
+    """The coordinates of oct_seq(family, k, a) * oct_seq(family, k, b);
+    product, the compiled product in force, is only part of the key."""
+    return (oct_seq(family, k, a) * oct_seq(family, k, b)).coords
+
+
+def _difference(family: Family, k: int, a: int, b: int, c: int, d: int) -> tuple:
+    """The coordinates of S[a]S[b] - S[c]S[d], by the table in force: a
+    product identity compares its sides' coordinates, so that a PASS
+    builds no octonion."""
+    product = _active_product()
+    return tuple(map(sub, _table_product(family, k, a, b, product),
+                     _table_product(family, k, c, d, product)))
+
+
+def _scaled(core: Octonion, s: int) -> tuple:
+    """The coordinates of core.scale(s)."""
+    return tuple([c * s for c in core.coords])
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
@@ -232,10 +249,9 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     if r > n:
         raise ParamError(f"need 0 <= r <= n, got r={r}, n={n}")
     a, b = (n + r, n - r) if ordering == "lr" else (n - r, n + r)
-    product = _active_product()
-    lhs = _table_product(family, k, a, b, product) - _table_product(family, k, n, n, product)
+    lhs = _difference(family, k, a, b, n, n)
     # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
-    rhs = _core(family, k, r, r, ordering == "lr", specialized).scale(-(2 ** (n - r)))
+    rhs = _scaled(_core(family, k, r, r, ordering == "lr", specialized), -(2 ** (n - r)))
     params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
     return _result("catalan", family, params, lhs, rhs)
 
@@ -259,9 +275,8 @@ def check_cassini(family: Family, k: int, n: int,
     if n < 1:
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
-    product = _active_product()
-    lhs = _table_product(family, k, a, b, product) - _table_product(family, k, n, n, product)
-    rhs = _core(family, k, 1, 1, ordering == "lr", specialized).scale(-(2 ** (n - 1)))
+    lhs = _difference(family, k, a, b, n, n)
+    rhs = _scaled(_core(family, k, 1, 1, ordering == "lr", specialized), -(2 ** (n - 1)))
     note = ""
     if specialized and family is Family.MERSENNE_LUCAS:
         note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
@@ -276,13 +291,11 @@ def check_docagne(family: Family, k: int, n: int, r: int,
                   specialized: bool = False) -> CheckResult:
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
     _check_common(family, k, specialized, n=n, r=r)
-    product = _active_product()
-    lhs = (_table_product(family, k, r, n + 1, product)
-           - _table_product(family, k, r + 1, n, product))
+    lhs = _difference(family, k, r, n + 1, r + 1, n)
     if r <= n:  # Vajda at (r, 1, n - r), negated
-        rhs = _core(family, k, 1, n - r, False, specialized).scale(-(2**r))
+        rhs = _scaled(_core(family, k, 1, n - r, False, specialized), -(2**r))
     else:  # Vajda at (n, 1, r - n) in the opposite algebra
-        rhs = _core(family, k, 1, r - n, True, specialized).scale(2**n)
+        rhs = _scaled(_core(family, k, 1, r - n, True, specialized), 2**n)
     params = {"k": k, "n": n, "r": r, "specialized": specialized}
     return _result("docagne", family, params, lhs, rhs)
 
@@ -294,10 +307,8 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
                 specialized: bool = False) -> CheckResult:
     """S[n+i]S[n+j] - S[n]S[n+i+j] against the closed right side."""
     _check_common(family, k, specialized, n=n, i=i, j=j)
-    product = _active_product()
-    lhs = (_table_product(family, k, n + i, n + j, product)
-           - _table_product(family, k, n, n + i + j, product))
-    rhs = _core(family, k, i, j, False, specialized).scale(2**n)
+    lhs = _difference(family, k, n + i, n + j, n, n + i + j)
+    rhs = _scaled(_core(family, k, i, j, False, specialized), 2**n)
     params = {"k": k, "n": n, "i": i, "j": j, "specialized": specialized}
     return _result("vajda", family, params, lhs, rhs)
 
@@ -328,9 +339,9 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
         c_pp, c_p = c_p, c_p.scale(3 * k) - c_pp.scale(2)
         expected = oct_seq(family, k, n)
         if c_p != expected:
-            return _result("genfunc_ordinary", family, params, c_p, expected,
+            return _result("genfunc_ordinary", family, params, c_p.coords, expected.coords,
                            note=f"first mismatch at coefficient {n}")
-    return _result("genfunc_ordinary", family, params, _ZERO, _ZERO,
+    return _result("genfunc_ordinary", family, params, _ZERO.coords, _ZERO.coords,
                    note="denominator 1 - 3kx + 2x^2 per derivation")
 
 
@@ -376,7 +387,7 @@ def check_finite_sum(family: Family, k: int, n: int,
         ab = alpha_beta(1, True)
         tail = ab.alpha + ab.beta.scale(n if family is Family.MERSENNE else -n)
         rhs = oct_seq(family, k, n + 1) - tail
-    return _result("finite_sum", family, params, lhs, rhs)
+    return _result("finite_sum", family, params, lhs.coords, rhs.coords)
 
 
 # --- Grid runner ------------------------------------------------------
@@ -504,6 +515,13 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+# The pool's modules (multiprocessing, pickle, socket and more) load on
+# the first run with more than one worker, so that every other command
+# starts without them.  run_grid reads this name at call time, so that
+# a caller can substitute a pool class.
+ProcessPoolExecutor = None
+
+
 def _max_workers() -> int:
     raw = os.environ.get("MERSOCT_MAX_WORKERS", "1")
     try:
@@ -522,12 +540,15 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     which pool.map keeps, so the report does not depend on the worker
     count.
     """
+    global ProcessPoolExecutor
     cfg = cfg or GridConfig()
     cfg.validate()
     points = _grid_points(cfg)
     # a pool starts every worker up front, so the count must be bounded
     workers = min(_max_workers(), os.cpu_count() or 1, len(points))
     if workers > 1:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         # the initializer carries the active basis table (the mutation
         # hook's, if it is on) into workers under every start method
         with ProcessPoolExecutor(max_workers=workers,

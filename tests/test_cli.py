@@ -452,3 +452,16 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_start_up_loads_no_pool(self, run_fresh):
+        # only a verify with more than one worker needs the process pool,
+        # so importing the CLI must not load it
+        proc = run_fresh("""
+            import sys
+            import mersenne_octonions.cli
+            print(sorted(m for m in sys.modules
+                         if m.split(".")[0] == "multiprocessing"
+                         or m.startswith("concurrent.futures")))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

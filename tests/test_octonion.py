@@ -1,6 +1,7 @@
 """Tests for the octonion algebra: table fidelity, the Cayley-Dickson
 oracle, and the structural properties every octonion algebra must have."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -203,6 +204,40 @@ class TestScalarRings:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             Octonion((1, 2, 3))
+
+    def test_any_iterable_of_eight(self):
+        # the coordinates are copied to a tuple before the length check,
+        # so a generator works and a wrong-length iterator is a ValueError
+        x = Octonion(c for c in range(8))
+        assert x.coords == tuple(range(8)) and x == Octonion(range(8))
+        with pytest.raises(ValueError):
+            Octonion(iter(range(9)))
+
+
+class TestUncheckedResults:
+    """The arithmetic builds its results without the constructor's
+    checks; they must still be proper octonions."""
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: -a,
+        lambda a, b: a * b,
+        lambda a, b: a.scale(-3),
+        lambda a, b: a.conj(),
+        lambda a, b: a.map_coords(abs),
+        lambda a, b: cd_mul(a, b),
+    ], ids=["add", "sub", "neg", "mul", "scale", "conj", "map_coords", "cd_mul"])
+    def test_result_is_a_proper_octonion(self, op):
+        rnd = random.Random(19)
+        for _ in range(20):
+            x = op(rand_oct(rnd), rand_oct(rnd))
+            assert type(x) is Octonion and type(x.coords) is tuple
+            checked = Octonion(tuple(x.coords))
+            assert x == checked and hash(x) == hash(checked)
+            # a pool pickles FAIL residuals back to the parent
+            copy = pickle.loads(pickle.dumps(x))
+            assert type(copy) is Octonion and copy == x and copy.coords == x.coords
 
 
 class TestCompiledProduct:

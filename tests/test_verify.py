@@ -417,6 +417,38 @@ class TestCorruptedTable:
         assert res.status is Status.FAIL
         assert not res.residual.is_zero()
 
+    # (check, its arguments after family and k, the left side's a, b, c,
+    # d in S[a]S[b] - S[c]S[d]); Catalan with r = 1 in "lr" order, which
+    # is Cassini's "lr", cannot see the flip at e1 e2 (see above)
+    @pytest.mark.parametrize("check, args, abcd", [
+        (check_catalan, (4, 2, "lr"), (6, 2, 4, 4)),
+        (check_catalan, (4, 2, "rl"), (2, 6, 4, 4)),
+        (check_cassini, (3, "rl"), (2, 4, 3, 3)),
+        (check_docagne, (4, 2), (2, 5, 3, 4)),
+        (check_docagne, (2, 4), (4, 3, 5, 2)),
+        (check_vajda, (3, 1, 2), (4, 5, 3, 6)),
+    ], ids=["catalan-lr", "catalan-rl", "cassini-rl",
+            "docagne-r-le-n", "docagne-r-gt-n", "vajda"])
+    def test_residual_is_the_corrupted_left_side_minus_the_true_one(self, check, args, abcd):
+        # the true left side equals the right side, so a FAIL's residual
+        # (left minus right) is what the corruption moved the left side by
+        a, b, c, d = abcd
+        for family in (M, ML):
+            for k, sp in ((1, True), (1, False), (2, False)):
+                def left():
+                    s = [oct_seq(family, k, m) for m in abcd]
+                    return s[0] * s[1] - s[2] * s[3]
+
+                true = left()
+                with corrupted_basis_table():
+                    wrong = left()
+                    res = check(family, k, *args, specialized=sp)
+                assert res.status is Status.FAIL, (family, k, sp)
+                assert type(res.residual) is Octonion
+                assert type(res.residual.coords) is tuple
+                assert all(type(x) is int for x in res.residual.coords)
+                assert res.residual == wrong - true, (family, k, sp)
+
     def test_every_sign_flip_fails_the_product_identities(self):
         # Binet, norm, the generating function and the finite sum take
         # no octonion product, so they cannot see the table; the product
