@@ -11,9 +11,9 @@ data; the doubling convention is
 over the basis split {e0..e3 | e4..e7}, which reproduces the stored
 table on all 64 basis pairs.
 
-Scalars may be int, Fraction, or QuadElem; any ring with exact +, -, *
-works, since octonion multiplication is the bilinear extension of the
-basis table.  That extension is compiled from the sign and index arrays
+Scalars may be int or QuadElem; any ring with exact +, -, * works,
+since octonion multiplication is the bilinear extension of the basis
+table.  That extension is compiled from the sign and index arrays
 into eight straight-line sums of products of coordinates, with no
 per-term table lookups.  Products are taken with the compiled function
 on top of a stack; the mutation test hook pushes one compiled from its
@@ -98,6 +98,14 @@ def use_basis_table(table: tuple) -> None:
     _products[-1] = _compile_product(table)
 
 
+def _check_basis_index(*indices):
+    """A basis index is an int (not a bool) in 0..7: a negative one would
+    silently count from the end."""
+    for x in indices:
+        if type(x) is not int or not 0 <= x <= 7:
+            raise ValueError(f"a basis index is an int in 0..7, got {x!r}")
+
+
 @contextmanager
 def corrupted_basis_table(i: int = 1, j: int = 2):
     """Test hook: temporarily flip the sign of one basis product.
@@ -105,6 +113,7 @@ def corrupted_basis_table(i: int = 1, j: int = 2):
     Used to demonstrate that the verifier actually detects a wrong
     multiplication table.  Never nest with concurrent verification.
     """
+    _check_basis_index(i, j)
     sign = [list(row) for row in SIGN]
     sign[i][j] = -sign[i][j]
     _products.append(_compile_product((tuple(tuple(r) for r in sign), INDEX)))
@@ -143,6 +152,7 @@ class Octonion:
 
     @classmethod
     def basis(cls, r: int, scale=1) -> "Octonion":
+        _check_basis_index(r)
         c = [0] * 8
         c[r] = scale
         return cls(tuple(c))
@@ -218,14 +228,6 @@ def _qconj(p):
     return (p[0], -p[1], -p[2], -p[3])
 
 
-def _qsub(p, q):
-    return tuple(x - y for x, y in zip(p, q))
-
-
-def _qadd(p, q):
-    return tuple(x + y for x, y in zip(p, q))
-
-
 def cd_mul(a: Octonion, b: Octonion) -> Octonion:
     """Independent multiplication oracle via Cayley-Dickson doubling.
 
@@ -234,6 +236,6 @@ def cd_mul(a: Octonion, b: Octonion) -> Octonion:
     """
     p1, q1 = a.coords[:4], a.coords[4:]
     p2, q2 = b.coords[:4], b.coords[4:]
-    lo = _qsub(_qmul(p1, p2), _qmul(_qconj(q2), q1))
-    hi = _qadd(_qmul(q2, p1), _qmul(q1, _qconj(p2)))
-    return _new(lo + hi)
+    lo = map(sub, _qmul(p1, p2), _qmul(_qconj(q2), q1))
+    hi = map(add, _qmul(q2, p1), _qmul(q1, _qconj(p2)))
+    return _new((*lo, *hi))

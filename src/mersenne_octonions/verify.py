@@ -222,18 +222,16 @@ def _table_product(family: Family, k: int, a: int, b: int, product) -> tuple:
     return (oct_seq(family, k, a) * oct_seq(family, k, b)).coords
 
 
-def _difference(family: Family, k: int, a: int, b: int, c: int, d: int) -> tuple:
-    """The coordinates of S[a]S[b] - S[c]S[d], by the table in force: a
-    product identity compares its sides' coordinates, so that a PASS
-    builds no octonion."""
+def _vajda_form(identity, family, k, params, abcd, core, s, note="") -> CheckResult:
+    """The verdict of S[a]S[b] - S[c]S[d], by the table in force, against
+    _core(family, k, *core) scaled by s.  The sides are compared as
+    coordinate tuples, so that a PASS builds no octonion."""
+    a, b, c, d = abcd
     product = _active_product()
-    return tuple(map(sub, _table_product(family, k, a, b, product),
-                     _table_product(family, k, c, d, product)))
-
-
-def _scaled(core: Octonion, s: int) -> tuple:
-    """The coordinates of core.scale(s)."""
-    return tuple([c * s for c in core.coords])
+    lhs = tuple(map(sub, _table_product(family, k, a, b, product),
+                    _table_product(family, k, c, d, product)))
+    rhs = tuple([x * s for x in _core(family, k, *core).coords])
+    return _result(identity, family, params, lhs, rhs, note)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
@@ -249,11 +247,10 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     if r > n:
         raise ParamError(f"need 0 <= r <= n, got r={r}, n={n}")
     a, b = (n + r, n - r) if ordering == "lr" else (n - r, n + r)
-    lhs = _difference(family, k, a, b, n, n)
-    # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
-    rhs = _scaled(_core(family, k, r, r, ordering == "lr", specialized), -(2 ** (n - r)))
     params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
-    return _result("catalan", family, params, lhs, rhs)
+    # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
+    return _vajda_form("catalan", family, k, params, (a, b, n, n),
+                       (r, r, ordering == "lr", specialized), -(2 ** (n - r)))
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "ordering": o, "specialized": sp}
@@ -275,13 +272,12 @@ def check_cassini(family: Family, k: int, n: int,
     if n < 1:
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
-    lhs = _difference(family, k, a, b, n, n)
-    rhs = _scaled(_core(family, k, 1, 1, ordering == "lr", specialized), -(2 ** (n - 1)))
     note = ""
     if specialized and family is Family.MERSENNE_LUCAS:
         note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
     params = {"k": k, "n": n, "ordering": ordering, "specialized": specialized}
-    return _result("cassini", family, params, lhs, rhs, note)
+    return _vajda_form("cassini", family, k, params, (a, b, n, n),
+                       (1, 1, ordering == "lr", specialized), -(2 ** (n - 1)), note)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "specialized": sp}
@@ -291,13 +287,12 @@ def check_docagne(family: Family, k: int, n: int, r: int,
                   specialized: bool = False) -> CheckResult:
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
     _check_common(family, k, specialized, n=n, r=r)
-    lhs = _difference(family, k, r, n + 1, r + 1, n)
     if r <= n:  # Vajda at (r, 1, n - r), negated
-        rhs = _scaled(_core(family, k, 1, n - r, False, specialized), -(2**r))
+        core, s = (1, n - r, False, specialized), -(2**r)
     else:  # Vajda at (n, 1, r - n) in the opposite algebra
-        rhs = _scaled(_core(family, k, 1, r - n, True, specialized), 2**n)
+        core, s = (1, r - n, True, specialized), 2**n
     params = {"k": k, "n": n, "r": r, "specialized": specialized}
-    return _result("docagne", family, params, lhs, rhs)
+    return _vajda_form("docagne", family, k, params, (r, n + 1, r + 1, n), core, s)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "i": i, "j": j, "specialized": sp}
@@ -307,10 +302,9 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
                 specialized: bool = False) -> CheckResult:
     """S[n+i]S[n+j] - S[n]S[n+i+j] against the closed right side."""
     _check_common(family, k, specialized, n=n, i=i, j=j)
-    lhs = _difference(family, k, n + i, n + j, n, n + i + j)
-    rhs = _scaled(_core(family, k, i, j, False, specialized), 2**n)
     params = {"k": k, "n": n, "i": i, "j": j, "specialized": specialized}
-    return _result("vajda", family, params, lhs, rhs)
+    return _vajda_form("vajda", family, k, params, (n + i, n + j, n, n + i + j),
+                       (i, j, False, specialized), 2**n)
 
 
 # --- Generating function and finite sum ------------------------------

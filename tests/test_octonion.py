@@ -283,3 +283,16 @@ class TestCorruptionHook:
         # and a fresh worker's one-entry stack ends with only the given table
         use_basis_table(active_basis_table())
         assert len(octonion._products) == 1
+
+    # -1 would count from the end (e7), True would be e1 and 8 an
+    # IndexError; each must be a ValueError
+    @pytest.mark.parametrize("bad", [-1, 8, True, 1.0])
+    def test_out_of_range_basis_index_rejected(self, bad):
+        with pytest.raises(ValueError, match="basis index"):
+            Octonion.basis(bad)
+        stack = list(octonion._products)
+        for i, j in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="basis index"):
+                with corrupted_basis_table(i, j):
+                    pass
+            assert octonion._products == stack

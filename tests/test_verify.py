@@ -493,6 +493,17 @@ class TestCorruptedTable:
             check_cassini(ML, 2, 2)
         assert check_cassini(ML, 2, 2).status is Status.PASS
 
+    def test_corrupted_product_report_digest(self):
+        # the FAIL rows' residuals pinned byte for byte, as CI pins the
+        # console script's report of the same run
+        cfg = GridConfig(ks=(1, 2), n_max=6,
+                         identities=("catalan", "cassini", "docagne", "vajda"))
+        with corrupted_basis_table():
+            report = run_grid(cfg)
+        assert report.summary == {"PASS": 534, "FAIL": 3444, "SKIPPED": 0}
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "a68409338dc26b6538b4b77cf085e9ab99528a72533a4f54f8b053defce5014c"
+
 
 class TestGrid:
     def test_empty_identities_gives_empty_report(self):
