@@ -23,9 +23,7 @@ from contextlib import closing, contextmanager, nullcontext, suppress
 from itertools import islice
 
 from . import __version__
-from .octonion import corrupted_basis_table
 from .sequences import Family, seq_fast, seq_terms, seq_value
-from .verify import IDENTITIES, ConfigError, GridConfig, _grid_points, run_grid
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,8 +36,9 @@ _FAMILIES = {
 }
 
 
-# n indexes one run of the recurrence through itertools.islice, and
-# verify holds its k range in a tuple: neither takes a size past this
+# n indexes one run of the recurrence through itertools.islice, which
+# takes no index past this; verify's k range must also fit in a tuple,
+# which a range this long does not (cmd_verify exits 2 on it)
 _RANGE_MAX = sys.maxsize
 
 
@@ -126,10 +125,19 @@ def cmd_oct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # only verify needs the verifier and the octonions: seq, oct and bench
+    # start without them
+    from .octonion import corrupted_basis_table
+    from .verify import IDENTITIES, ConfigError, GridConfig, _grid_points, run_grid
+
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
+    try:
+        ks = tuple(ks)
+    except MemoryError:
+        raise SystemExit2(f"k range too large to verify: {args.k!r}")
     cfg = GridConfig(
-        ks=tuple(ks),
+        ks=ks,
         n_max=max(ns),
         ij_max=args.ij_max,
         families=_FAMILIES[args.family],

@@ -89,6 +89,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_k_range_at_maxsize_is_usage_error(self, capsys):
+        # a tuple of sys.maxsize ks fails its size check before allocating
+        code, out, err = run_cli(capsys, "verify", "--k", f"1..{sys.maxsize}",
+                                 "--identities", "binet")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_small_grid_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "1..2", "--n", "0..4",
@@ -455,13 +462,28 @@ class TestEntryPoint:
 
     def test_start_up_loads_no_pool(self, run_fresh):
         # only a verify with more than one worker needs the process pool,
-        # so importing the CLI must not load it
+        # and only verify needs the verifier and the octonions: the package,
+        # the CLI and seq, oct and bench load none of them
         proc = run_fresh("""
-            import sys
-            import mersenne_octonions.cli
-            print(sorted(m for m in sys.modules
-                         if m.split(".")[0] == "multiprocessing"
-                         or m.startswith("concurrent.futures")))
+            import os, sys
+            import mersenne_octonions
+            from mersenne_octonions.cli import main
+
+            def loaded():
+                heavy = ("mersenne_octonions.verify", "mersenne_octonions.octonion",
+                         "mersenne_octonions.quadratic", "mersenne_octonions.oct_sequences",
+                         "dataclasses", "multiprocessing", "concurrent.futures")
+                return sorted(m for m in sys.modules
+                              if any(m == h or m.startswith(h + ".") for h in heavy))
+
+            print(loaded())
+            for argv in (["seq", "--n", "0..2"], ["oct", "--n", "0..2"],
+                         ["bench", "--n-values", "10", "--repeat", "1"]):
+                assert main([*argv, "-o", os.devnull]) == 0, argv
+                print(argv[0], loaded())
+            assert main(["verify", "--k", "2", "--n", "3", "--identities", "binet",
+                         "-o", os.devnull]) == 0
+            print("mersenne_octonions.verify" in sys.modules)
         """)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\nseq []\noct []\nbench []\nTrue\n"
