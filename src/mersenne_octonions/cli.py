@@ -8,8 +8,8 @@ Subcommands:
 
 All numbers are exact decimal integers; no scientific notation.  Exit
 codes: 0 success, 1 an identity check failed (or a bench cross-check
-mismatch), 2 usage or I/O error, so CI can tell a violated identity
-from a broken environment.
+mismatch), 2 usage or I/O error or a run too large for memory, so CI
+can tell a violated identity from a broken environment.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _FAMILIES = {
 
 # n indexes one run of the recurrence through itertools.islice, which
 # takes no index past this; verify's k range must also fit in a tuple,
-# which a range this long does not (cmd_verify exits 2 on it)
+# which a range this long does not (its MemoryError exits 2 in main)
 _RANGE_MAX = sys.maxsize
 
 
@@ -115,8 +115,9 @@ def cmd_oct(args) -> int:
         w.writerow(["family", "k", "n"] + [f"e{r}" for r in range(8)])
         for family in _FAMILIES[args.family]:
             for k in ks:
-                # row n holds terms n..n+7: slide one window along one run
-                terms = seq_terms(family, k, ns.start)
+                # row n holds terms n..n+7: slide one window along one
+                # run, converting each term to decimal once
+                terms = map(str, seq_terms(family, k, ns.start))
                 window = tuple(islice(terms, 7))
                 for n, x in zip(ns, terms):
                     window = (*window[-7:], x)
@@ -132,12 +133,8 @@ def cmd_verify(args) -> int:
 
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
-    try:
-        ks = tuple(ks)
-    except MemoryError:
-        raise SystemExit2(f"k range too large to verify: {args.k!r}")
     cfg = GridConfig(
-        ks=ks,
+        ks=tuple(ks),
         n_max=max(ns),
         ij_max=args.ij_max,
         families=_FAMILIES[args.family],
@@ -257,6 +254,11 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         return exc.code
     except BrokenPipeError:
+        return EXIT_USAGE
+    except MemoryError:
+        # a grid or range too large to hold is refused, not a failed check
+        # (without a memory cap, the OS may kill the process first)
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         sys.set_int_max_str_digits(limit)

@@ -2,8 +2,12 @@
 
 Both satisfy x[n+1] = 3k*x[n] - 2*x[n-1]; the Mersenne family starts
 (0, 1), the Lucas family (2, 3k).  Two evaluators live here: the
-recurrence, run in one loop (seq_terms), and an O(log n)
-companion-matrix power.  The third, the Binet closed form, is
+recurrence, run in one loop (seq_terms), and an O(log n) loop over the
+bits of n (seq_fast).  That loop squares the companion matrix through
+its two independent entries, U[m] and U[m+1] of the Mersenne run, by
+the Lucas-sequence doubling rules U[2m] = U[m]*(2U[m+1] - 3k*U[m]) and
+U[2m+1] = U[m+1]^2 - 2U[m]^2 (Joye & Quisquater, 1996), and then maps
+the initial pair onto x[n].  The third, the Binet closed form, is
 oct_sequences.seq_binet: coordinate e0 of the octonion closed form,
 since alpha and beta both have e0 coordinate 1.  All three agree
 everywhere, and values are arbitrary-precision integers (they grow like
@@ -58,28 +62,17 @@ def seq_window(family: Family, k: int, n: int, length: int = 8) -> tuple:
     return tuple(islice(seq_terms(family, k, n), length))
 
 
-def _mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
-def _mat_pow(A, n: int):
-    R = ((1, 0), (0, 1))
-    while n:
-        if n & 1:
-            R = _mat_mul(R, A)
-        A = _mat_mul(A, A)
-        n >>= 1
-    return R
-
-
 def seq_fast(family: Family, k: int, n: int) -> int:
-    """n-th term in O(log n) ring operations via the companion matrix
-    of x^2 = 3k*x - 2 acting on the initial pair."""
+    """n-th term in O(log n) ring operations, by doubling (U[m], U[m+1])
+    along the bits of n."""
     _check_params(k, n)
     x0, x1 = _initial(family, k)
-    P = _mat_pow(((3 * k, -2), (1, 0)), n)
-    # bottom row of P maps (x1, x0) to x_n (P is the identity at n = 0)
-    return P[1][0] * x1 + P[1][1] * x0
+    c = 3 * k
+    u, v = 0, 1  # U[m], U[m+1] at m = 0: the Mersenne run
+    for bit in f"{n:b}":
+        # m -> 2m, then m -> m+1 by the recurrence where n has a one
+        u, v = u * (2 * v - c * u), v * v - 2 * u * u
+        if bit == "1":
+            u, v = v, c * v - 2 * u
+    # x[n] = x0*U[n+1] + (x1 - c*x0)*U[n] (U[1] = 1, U[0] = 0 at n = 0)
+    return x0 * v + (x1 - c * x0) * u

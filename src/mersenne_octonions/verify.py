@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -78,10 +79,21 @@ class CheckResult:
             "family": self.family,
             "params": dict(self.params),
             "status": self.status,
-            "residual": ([str(c) for c in self.residual.coords]
+            "residual": (_decimal(self.residual.coords)
                          if self.status is Status.FAIL else None),
             "note": self.note,
         }
+
+
+def _decimal(coords) -> list:
+    """Decimal strings of ints of any length: the interpreter's int->str
+    limit is lifted for the conversion only, and then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(c) for c in coords]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # the residual of every PASS row, shared: a pool pickles it once per chunk

@@ -96,6 +96,20 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, name", [
+        ("verify", "mersenne_octonions.verify.run_grid"),
+        ("seq", "mersenne_octonions.cli.seq_terms"),
+    ])
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch, command, name):
+        # a run too large to hold is refused with exit 2, never exit 1,
+        # which means that an identity failed
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(name, exhausted)
+        code, _, err = run_cli(capsys, command)  # seq has written its header
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_small_grid_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "1..2", "--n", "0..4",

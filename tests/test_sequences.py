@@ -91,9 +91,11 @@ class TestFast:
         assert seq_fast(ML, 2, 2) == 32
 
     def test_matches_recurrence_large(self):
-        for k in (1, 2, 3):
-            assert seq_fast(M, k, 10_000) == seq_value(M, k, 10_000)
-            assert seq_fast(ML, k, 10_000) == seq_value(ML, k, 10_000)
+        # 2^14 - 1 walks all one bits, 2^14 a one and then zeros only
+        for n in (10_000, 2**14 - 1, 2**14, 2**14 + 1):
+            for k in (1, 2, 3):
+                assert seq_fast(M, k, n) == seq_value(M, k, n)
+                assert seq_fast(ML, k, n) == seq_value(ML, k, n)
 
 
 class TestEquivalenceAndGrowth:

@@ -6,6 +6,7 @@ import enum
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,12 @@ from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed
 from mersenne_octonions import oct_sequences, sequences, verify
 from mersenne_octonions.verify import (
     IDENTITIES,
+    CheckResult,
     ConfigError,
     GridConfig,
     ParamError,
     Status,
+    VerificationReport,
     check_binet,
     check_cassini,
     check_catalan,
@@ -635,6 +638,21 @@ class TestGrid:
         for residual in failed:
             assert len(residual) == 8 and all(isinstance(c, str) for c in residual)
             assert any(c != "0" for c in residual)
+
+    def test_fail_residual_past_the_digit_limit(self):
+        # the library, not only the CLI, writes a residual of any length,
+        # and leaves the interpreter's int->str limit as it found it
+        row = CheckResult("binet", M, {"k": 2, "n": 1}, Status.FAIL,
+                          Octonion((10**5000,) + (0,) * 7))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            text = VerificationReport((row,), GridConfig()).to_json()
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
+        (result,) = json.loads(text)["results"]
+        assert result["residual"] == ["1" + "0" * 5000] + ["0"] * 7
 
     def test_report_records_its_config(self):
         cfg = GridConfig(ks=(3, 1), n_max=4, ij_max=2, families=(ML,),
