@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # every public name, and the module that defines it
 _HOMES = {
     "quadratic": ("NonRationalError", "QuadElem", "RingMismatchError",
-                  "discriminant", "lam", "one", "zero"),
+                  "discriminant", "lam", "one"),
     "octonion": ("Octonion", "associator", "cd_mul"),
     "sequences": ("Family", "seq_fast", "seq_value"),
     "oct_sequences": ("AlphaBeta", "alpha_beta", "oct_seq", "oct_seq_closed",

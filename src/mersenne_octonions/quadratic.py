@@ -172,6 +172,3 @@ def lam(k: int) -> QuadElem:
 def one(k: int) -> QuadElem:
     return QuadElem(k, 1, 0)
 
-
-def zero(k: int) -> QuadElem:
-    return QuadElem(k, 0, 0)

@@ -412,7 +412,8 @@ class GridConfig:
     is expanded to 32 coefficients at each k of ks up to 3.  When ks
     holds 1, the k = 1 specialized forms run as a second pass up to
     n = min(20, n_max).  The defaults cover k in 1..5 with n up to 24
-    and i, j up to 8.
+    and i, j up to 8.  A malformed config is refused with a ConfigError
+    when it is built, so every GridConfig is valid.
     """
 
     ks: tuple = (1, 2, 3, 4, 5)
@@ -421,7 +422,7 @@ class GridConfig:
     families: tuple = BOTH_FAMILIES
     identities: tuple = IDENTITIES
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("ks", "families", "identities"):
             if not isinstance(getattr(self, name), tuple):
                 raise ConfigError(f"{name} must be a tuple")
@@ -544,12 +545,13 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     MERSOCT_MAX_WORKERS > 1 they are spread over processes, at most
     one per CPU and one per point.  The results come in grid order,
     which pool.map keeps, so the report does not depend on the worker
-    count.
+    count.  A grid with no point is a ConfigError, not an empty report.
     """
     global ProcessPoolExecutor
     cfg = cfg or GridConfig()
-    cfg.validate()
     points = _grid_points(cfg)
+    if not points:
+        raise ConfigError("the selected identities have no grid point at these k and n")
     # a pool starts every worker up front, so the count must be bounded
     workers = min(_max_workers(), os.cpu_count() or 1, len(points))
     if workers > 1:

@@ -138,14 +138,19 @@ class TestVerify:
         # n 0..3 for each of the two families
         assert forms == {("general", "SKIPPED"): 8, ("specialized", "PASS"): 8}
 
-    @pytest.mark.parametrize("identities", ["cassini,cassini", ""])
-    def test_repeated_or_empty_identities_are_usage_errors(self, capsys, identities):
-        code, out, err = run_cli(
-            capsys, "verify", "--k", "2", "--n", "0..2", "--identities", identities,
-        )
+    # every config error, the GridConfig's own checks included, is one
+    # error: line and exit 2
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--n", "0..2", "--identities", "cassini,cassini"], id="cassini,cassini"),
+        pytest.param(["--n", "0..2", "--identities", ""], id=""),
+        pytest.param(["--ij-max", "-1", "--identities", "vajda"], id="ij-max=-1"),
+        pytest.param(["--n", "0"], id="n=0"),
+    ])
+    def test_repeated_or_empty_identities_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "--k", "2", *argv)
         assert code == 2
         assert out == ""
-        assert "error" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_selection_without_grid_points_is_usage_error(self, capsys):
         # the generating function runs only at k <= 3
@@ -497,7 +502,8 @@ class TestEntryPoint:
                 print(argv[0], loaded())
             assert main(["verify", "--k", "2", "--n", "3", "--identities", "binet",
                          "-o", os.devnull]) == 0
-            print("mersenne_octonions.verify" in sys.modules)
+            print("mersenne_octonions.verify" in sys.modules,
+                  [m for m in loaded() if m.startswith(("multiprocessing", "concurrent"))])
         """)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\nseq []\noct []\nbench []\nTrue\n"
+        assert proc.stdout == "[]\nseq []\noct []\nbench []\nTrue []\n"

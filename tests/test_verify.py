@@ -509,10 +509,13 @@ class TestCorruptedTable:
 
 
 class TestGrid:
-    def test_empty_identities_gives_empty_report(self):
-        report = run_grid(GridConfig(identities=()))
-        assert report.results == ()
-        assert report.summary == {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
+    def test_grid_without_points_is_config_error(self):
+        # no identity, or only the generating function past its k <= 3
+        for cfg in (GridConfig(identities=()),
+                    GridConfig(ks=(4,), identities=("genfunc_ordinary",))):
+            with pytest.raises(ConfigError, match="^the selected identities have no "
+                                                  "grid point at these k and n$"):
+                run_grid(cfg)
 
     def test_default_grid_all_pass(self, default_report):
         assert default_report.summary["FAIL"] == 0
@@ -560,8 +563,11 @@ class TestGrid:
             # an int subclass is not an int, as in the checks' guard
             {"ks": (Three.THREE,)}, {"n_max": Three.THREE}, {"ij_max": Three.THREE},
         ):
+            # refused when built, and when rebuilt by dataclasses.replace
             with pytest.raises(ConfigError):
-                run_grid(GridConfig(**kwargs))
+                GridConfig(**kwargs)
+            with pytest.raises(ConfigError):
+                dataclasses.replace(GridConfig(), **kwargs)
 
     @settings(max_examples=100, deadline=None)
     @given(st.fixed_dictionaries(_fields),
