@@ -23,7 +23,7 @@ from contextlib import closing, contextmanager, nullcontext, suppress
 from itertools import islice
 
 from . import __version__
-from .sequences import Family, seq_fast, seq_terms, seq_value
+from .sequences import Family, decimal_str, seq_fast, seq_terms, seq_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,7 +103,7 @@ def cmd_seq(args) -> int:
         for k in ks:
             for n, m, l in zip(ns, seq_terms(Family.MERSENNE, k, ns.start),
                                seq_terms(Family.MERSENNE_LUCAS, k, ns.start)):
-                w.writerow([k, n, m, l])
+                w.writerow([k, n, decimal_str(m), decimal_str(l)])
     return EXIT_OK
 
 
@@ -117,7 +117,7 @@ def cmd_oct(args) -> int:
             for k in ks:
                 # row n holds terms n..n+7: slide one window along one
                 # run, converting each term to decimal once
-                terms = map(str, seq_terms(family, k, ns.start))
+                terms = map(decimal_str, seq_terms(family, k, ns.start))
                 window = tuple(islice(terms, 7))
                 for n, x in zip(ns, terms):
                     window = (*window[-7:], x)
@@ -129,23 +129,25 @@ def cmd_verify(args) -> int:
     # only verify needs the verifier and the octonions: seq, oct and bench
     # start without them
     from .octonion import corrupted_basis_table
-    from .verify import IDENTITIES, ConfigError, GridConfig, _grid_points, run_grid
+    from .verify import _GRIDS, IDENTITIES, ConfigError, GridConfig, run_grid
 
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
     try:
         cfg = GridConfig(
             ks=tuple(ks),
-            n_max=max(ns),
+            n_max=ns[-1],
             ij_max=args.ij_max,
             families=_FAMILIES[args.family],
             identities=(IDENTITIES if args.identities is None
                         else tuple(args.identities.split(","))),
         )
         # identities run from their first n (Cassini's is 1) to n_max: N means
-        # 0..N, a later start would be dropped, and with no n axis any start does
+        # 0..N, a later start would be dropped, and with no n axis any start
+        # does; each identity's first point holds its smallest n
         if ".." in args.n and ns.start:
-            first = min((p["n"] for _, _, p in _grid_points(cfg) if "n" in p), default=ns.start)
+            firsts = (next(_GRIDS[name](cfg), {}) for name in cfg.identities)
+            first = min((p["n"] for p in firsts if "n" in p), default=ns.start)
             if ns.start > first:
                 raise ConfigError(f"verify runs n from {first}: give --n N or "
                                   f"--n {first}..N, not {args.n!r}")
@@ -190,7 +192,7 @@ def cmd_bench(args) -> int:
                     )
                     return EXIT_CHECK_FAILED
                 # the two values are equal: convert one to decimal, once
-                digits = len(str(abs(rows[0][2])))
+                digits = len(decimal_str(abs(rows[0][2])))
                 for name, best, _ in rows:
                     w.writerow([k, n, name, best, digits])
     return EXIT_OK
@@ -245,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # exact integers of any length: lift the int->str limit for this command
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except SystemExit2 as exc:
@@ -259,8 +258,6 @@ def main(argv=None) -> int:
         # (without a memory cap, the OS may kill the process first)
         print(f"error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ the initial pair onto x[n].  The third, the Binet closed form, is
 oct_sequences.seq_binet: coordinate e0 of the octonion closed form,
 since alpha and beta both have e0 coordinate 1.  All three agree
 everywhere, and values are arbitrary-precision integers (they grow like
-(3k)^n).
+(3k)^n); decimal_str writes any of them exactly.
 """
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from itertools import islice
 
@@ -76,3 +77,14 @@ def seq_fast(family: Family, k: int, n: int) -> int:
             u, v = v, c * v - 2 * u
     # x[n] = x0*U[n+1] + (x1 - c*x0)*U[n] (U[1] = 1, U[0] = 0 at n = 0)
     return x0 * v + (x1 - c * x0) * u
+
+
+def decimal_str(x: int) -> str:
+    """x in decimal, however many digits it has: the interpreter's
+    int->str limit is lifted for this conversion only, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -32,7 +31,7 @@ from . import __version__
 from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
 from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed,
                             project_rational)
-from .sequences import Family
+from .sequences import Family, decimal_str
 
 DISCREPANCIES = (
     "conjugate display: the stated conjugates write the real part as the "
@@ -79,21 +78,10 @@ class CheckResult:
             "family": self.family,
             "params": dict(self.params),
             "status": self.status,
-            "residual": (_decimal(self.residual.coords)
+            "residual": (list(map(decimal_str, self.residual.coords))
                          if self.status is Status.FAIL else None),
             "note": self.note,
         }
-
-
-def _decimal(coords) -> list:
-    """Decimal strings of ints of any length: the interpreter's int->str
-    limit is lifted for the conversion only, and then restored."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return [str(c) for c in coords]
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 # the residual of every PASS row, shared: a pool pickles it once per chunk

@@ -161,7 +161,7 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_n_is_n_max_and_a_later_start_is_usage_error(self, capsys):
+    def test_n_is_n_max_and_a_later_start_is_usage_error(self, capsys, monkeypatch):
         # every identity runs from its first n, so N means 0..N (Cassini
         # runs from 1) and a range that starts later cannot be honoured
         args = ["verify", "--k", "2", "--ij-max", "1", "--format", "json"]
@@ -175,11 +175,22 @@ class TestVerify:
         genfunc = [*args, "--identities", "genfunc_ordinary"]
         _, out, _ = run_cli(capsys, *genfunc, "--n", "5")
         assert run_cli(capsys, *genfunc, "--n", "1..5") == (0, out, "")
+        # a range's end is read, not walked
+        code, out, _ = run_cli(capsys, *genfunc, "--n", f"0..{sys.maxsize}")
+        assert code == 0 and json.loads(out)["config"]["n_max"] == sys.maxsize
+        # a late start is refused from each identity's first point, so
+        # however wide the range, the whole grid is never built
+        from mersenne_octonions import verify
+
+        def whole_grid(cfg):
+            raise AssertionError("the whole grid was built")
+
+        monkeypatch.setattr(verify, "_grid_points", whole_grid)
         for argv in ([*args, "--n", "5..6"], [*args, "--n", "1..6"],
-                     [*cassini, "--n", "5..24"]):
+                     [*args, "--n", f"1..{sys.maxsize}"], [*cassini, "--n", "5..24"]):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith("error: verify runs n from ") and err.count("\n") == 1
 
     def test_genfunc_follows_k(self, capsys):
         code, out, _ = run_cli(
@@ -363,7 +374,8 @@ def terms(x0, x1, k, n_lo, n_hi):
 
 class TestPastTheDigitLimit:
     # outputs longer than the interpreter's default 4,300-digit int->str
-    # limit, which main lifts for one command and then restores
+    # limit, which sequences.decimal_str lifts for one conversion at a
+    # time; a command leaves the limit at what the caller set
 
     @pytest.fixture(autouse=True)
     def restore_limit(self):
@@ -377,6 +389,18 @@ class TestPastTheDigitLimit:
         assert sys.get_int_max_str_digits() == 4300
         sys.set_int_max_str_digits(0)  # for the test's own conversions
         return result
+
+    def test_limit_stays_set_while_a_command_runs(self, capsys, monkeypatch):
+        from mersenne_octonions import cli
+        real, seen = cli.seq_terms, []
+
+        def seq_terms(*args):
+            seen.append(sys.get_int_max_str_digits())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "seq_terms", seq_terms)
+        code, _, _ = self.run(capsys, "seq", "--k", "1", "--n", "0..2")
+        assert code == 0 and seen == [4300, 4300]
 
     def test_seq(self, capsys):
         code, out, _ = self.run(capsys, "seq", "--k", "1", "--n", "20000")

@@ -1,5 +1,7 @@
 """Tests for the scalar k-Mersenne and k-Mersenne-Lucas sequences."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from mersenne_octonions.oct_sequences import (
 )
 from mersenne_octonions.sequences import (
     Family,
+    decimal_str,
     seq_fast,
     seq_terms,
     seq_value,
@@ -178,3 +181,17 @@ class TestFamilyByName:
                 raise AssertionError("an unknown family name was accepted")
         """)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestDecimalStr:
+    def test_any_length_under_the_default_limit(self):
+        # the interpreter's default int->str limit is 4,300 digits; the
+        # helper writes past it and leaves the limit as it found it
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            texts = [decimal_str(x) for x in (0, -7, 10**5000, -(10**5000))]
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert texts == ["0", "-7", "1" + "0" * 5000, "-1" + "0" * 5000]
