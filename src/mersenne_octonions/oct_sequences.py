@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .octonion import Octonion, cd_mul
 from .quadratic import QuadElem, discriminant, lam
-from .sequences import Family, _check_params, seq_window
+from .sequences import Family, _check_params, decimal_str, seq_window
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -100,7 +100,7 @@ def _exact(c, divisor: int = 1) -> int:
     v = c.rational() if isinstance(c, QuadElem) else c
     q, rem = divmod(v, divisor)
     if rem:
-        raise InternalInconsistencyError(f"non-integer value {v}/{divisor}")
+        raise InternalInconsistencyError(f"non-integer value {decimal_str(v)}/{divisor}")
     return q
 
 

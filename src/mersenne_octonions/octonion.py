@@ -26,6 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import add, neg, sub
 
+from .sequences import decimal_str
+
 # Basis products e_i * e_j as (sign, index) meaning sign * e_index.
 _TABLE = (
     ((+1, 0), (+1, 1), (+1, 2), (+1, 3), (+1, 4), (+1, 5), (+1, 6), (+1, 7)),
@@ -202,8 +204,8 @@ class Octonion:
     def map_coords(self, f) -> "Octonion":
         return _new(tuple(map(f, self.coords)))
 
-    def __str__(self):
-        return "(" + ", ".join(str(x) for x in self.coords) + ")"
+    def __repr__(self):
+        return f"Octonion(coords=({', '.join(map(decimal_str, self.coords))}))"
 
 
 def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .sequences import decimal_str
+
 
 class NonRationalError(ValueError):
     """Raised when a rational value is demanded of an element with a
@@ -160,8 +162,8 @@ class QuadElem:
             raise NonRationalError(self)
         return self.a
 
-    def __str__(self):
-        return f"({self.a} + {self.b}*L | k={self.k})"
+    def __repr__(self):
+        return f"QuadElem(k={decimal_str(self.k)}, a={decimal_str(self.a)}, b={decimal_str(self.b)})"
 
 
 def lam(k: int) -> QuadElem:

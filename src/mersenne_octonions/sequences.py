@@ -79,8 +79,8 @@ def seq_fast(family: Family, k: int, n: int) -> int:
     return x0 * v + (x1 - c * x0) * u
 
 
-def decimal_str(x: int) -> str:
-    """x in decimal, however many digits it has: the interpreter's
+def decimal_str(x) -> str:
+    """str(x), with every int in it in full decimal: the interpreter's
     int->str limit is lifted for this conversion only, then restored."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

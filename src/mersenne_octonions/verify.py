@@ -109,9 +109,9 @@ def _check_common(family, k: int, specialized: bool, **counts):
         if type(value) is not int:
             raise ParamError(f"{name} must be an integer, got {value!r}")
     if k < 1:
-        raise ParamError(f"k must be a positive integer, got {k}")
+        raise ParamError(f"k must be a positive integer, got {decimal_str(k)}")
     if min(counts.values()) < 0:
-        got = ", ".join(f"{name}={value}" for name, value in counts.items())
+        got = ", ".join(f"{name}={decimal_str(value)}" for name, value in counts.items())
         raise ParamError(f"need {', '.join(counts)} >= 0, got {got}")
     # specialized keys the right-side caches, so it must be hashable
     if type(specialized) is not bool:
@@ -245,7 +245,7 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     if ordering not in _ORDERINGS:
         raise ParamError(f"unknown ordering {ordering!r}")
     if r > n:
-        raise ParamError(f"need 0 <= r <= n, got r={r}, n={n}")
+        raise ParamError(f"need 0 <= r <= n, got r={decimal_str(r)}, n={decimal_str(n)}")
     a, b = (n + r, n - r) if ordering == "lr" else (n - r, n + r)
     params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
     # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
@@ -427,7 +427,7 @@ class GridConfig:
             if not isinstance(f, Family):
                 raise ConfigError(f"not a family: {f!r}")
         # compared by ==, so an unhashable name is unknown, not a TypeError
-        unknown = {str(i) for i in self.identities if i not in IDENTITIES}
+        unknown = {decimal_str(i) for i in self.identities if i not in IDENTITIES}
         if unknown:
             raise ConfigError(f"unknown identities: {sorted(unknown)}")
         # a repeated entry would run, and report, the same points twice

@@ -14,6 +14,19 @@ def default_report():
 
 
 @pytest.fixture
+def default_digit_limit():
+    """Pin the interpreter's int->str limit at its default, 4,300 digits,
+    require the test to leave it there, and restore the caller's."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
 def run_fresh():
     """Run Python source in a fresh interpreter, so that nothing it
     caches can reach this session."""

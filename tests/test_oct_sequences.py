@@ -171,9 +171,13 @@ class TestProjectRational:
         assert got.coords == (2, 2, 0, -1, 3, 1, 10, 100)
         assert all(type(c) is int for c in got.coords)
 
-    def test_divisor_that_does_not_divide(self):
+    def test_divisor_that_does_not_divide(self, default_digit_limit):
         with pytest.raises(InternalInconsistencyError, match="7/3"):
             project_rational(Octonion.basis(1, 7), 3)
+        # the quotient is named in full, even past the digit limit
+        with pytest.raises(InternalInconsistencyError) as exc:
+            oct_sequences._exact(10**5000 + 1, 2)
+        assert "1" + "0" * 4999 + "1/2" in str(exc.value)
 
     def test_fraction_coordinate(self):
         with pytest.raises(InternalInconsistencyError, match="1/2"):

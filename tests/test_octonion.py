@@ -19,7 +19,9 @@ from mersenne_octonions.octonion import (
     corrupted_basis_table,
     use_basis_table,
 )
+from mersenne_octonions.oct_sequences import oct_seq
 from mersenne_octonions.quadratic import QuadElem, lam
+from mersenne_octonions.sequences import Family
 
 # Independently transcribed basis products, (sign, index) per cell.
 EXPECTED_TABLE = [
@@ -212,6 +214,23 @@ class TestScalarRings:
         assert x.coords == tuple(range(8)) and x == Octonion(range(8))
         with pytest.raises(ValueError):
             Octonion(iter(range(9)))
+
+
+class TestDisplay:
+    """One display, the repr, which writes each coordinate in full."""
+
+    def test_repr_of_a_sequence_octonion(self):
+        x = oct_seq(Family.MERSENNE, 1, 0)
+        assert repr(x) == "Octonion(coords=(0, 1, 3, 7, 15, 31, 63, 127))"
+        assert str(x) == repr(x)
+        y = Octonion.basis(1, lam(2))
+        assert str(y) == repr(y) == (
+            "Octonion(coords=(0, QuadElem(k=2, a=0, b=1), 0, 0, 0, 0, 0, 0))")
+
+    def test_past_the_digit_limit(self, default_digit_limit):
+        x = Octonion((10**5000,) + (0,) * 7)
+        expected = "Octonion(coords=(1" + "0" * 5000 + ", 0, 0, 0, 0, 0, 0, 0))"
+        assert str(x) == repr(x) == expected
 
 
 class TestUncheckedResults:

@@ -146,14 +146,25 @@ class TestRational:
     def test_extracts(self):
         assert QuadElem(2, 6, 0).rational() == 6
 
-    def test_non_rational_raises_with_element(self):
-        x = lam(3)
-        with pytest.raises(NonRationalError) as exc:
-            x.rational()
-        assert exc.value.elem == x
+    def test_non_rational_raises_with_element(self, default_digit_limit):
+        # the message shows the element in full, even past the digit limit
+        for x in (lam(3), QuadElem(1, 10**5000, 1)):
+            with pytest.raises(NonRationalError) as exc:
+                x.rational()
+            assert exc.value.elem == x
+        assert "QuadElem(k=1, a=1" + "0" * 5000 + ", b=1)" in str(exc.value)
 
     def test_lambda_times_conj(self):
         assert (lam(5) * lam(5).conj()).rational() == 2
+
+
+class TestDisplay:
+    """One display, the repr, with the dataclass's shape."""
+
+    def test_repr(self):
+        assert repr(lam(2)) == "QuadElem(k=2, a=0, b=1)"
+        assert repr(QuadElem(3, -4, 5)) == "QuadElem(k=3, a=-4, b=5)"
+        assert str(lam(2)) == repr(lam(2))
 
 
 class TestRingAxioms:

@@ -230,9 +230,11 @@ class TestFiniteSum:
 
 
 class TestCheckCommon:
-    def test_bad_parameters_raise_param_error(self):
+    def test_bad_parameters_raise_param_error(self, default_digit_limit):
         # every guard in _check_common, and a relational condition; a
-        # string family is in TestGrid::test_string_family_is_an_input_error
+        # string family is in TestGrid::test_string_family_is_an_input_error.
+        # A message writes an int past the digit limit in full, so a huge
+        # value is still a ParamError
         for check, args, kwargs in (
             (check_binet, (M, "2", 1), {}),
             (check_binet, (M, 2, "1"), {}),
@@ -240,6 +242,9 @@ class TestCheckCommon:
             (check_catalan, (M, 2, 3, 1.0), {}),
             (check_catalan, (M, 1, 1, 1), {"specialized": [1]}),
             (check_catalan, (M, 2, 1, 5), {}),
+            (check_binet, (M, -(10**5000), 1), {}),
+            (check_binet, (M, 1, -(10**5000)), {}),
+            (check_catalan, (M, 1, 1, 10**5000), {}),
         ):
             with pytest.raises(ParamError):
                 check(*args, **kwargs)
@@ -548,7 +553,7 @@ class TestGrid:
             assert counts == {name: n[col] for name, n in expected.items()}
         assert [sum(n[col] for n in expected.values()) for col in range(3)] == [8824, 866, 648]
 
-    def test_malformed_config_rejected(self):
+    def test_malformed_config_rejected(self, default_digit_limit):
         for kwargs in (
             {"ks": ()},
             {"identities": ("nope",)},
@@ -560,6 +565,8 @@ class TestGrid:
             {"ks": ("a",)}, {"ks": (1.5,)}, {"ks": (True,)}, {"ks": 3},
             {"n_max": "3"}, {"n_max": 2.0}, {"ij_max": None},
             {"identities": (1, "nope")},
+            # an unknown name is written in full, even past the digit limit
+            {"identities": (10**5000,)},
             # an int subclass is not an int, as in the checks' guard
             {"ks": (Three.THREE,)}, {"n_max": Three.THREE}, {"ij_max": Three.THREE},
         ):
@@ -646,7 +653,7 @@ class TestGrid:
             assert any(c != "0" for c in residual)
 
     def test_fail_residual_past_the_digit_limit(self):
-        # the library, not only the CLI, writes a residual of any length,
+        # the library, not only the CLI, writes and shows a residual of any length,
         # and leaves the interpreter's int->str limit as it found it
         row = CheckResult("binet", M, {"k": 2, "n": 1}, Status.FAIL,
                           Octonion((10**5000,) + (0,) * 7))
@@ -654,11 +661,13 @@ class TestGrid:
         sys.set_int_max_str_digits(4300)
         try:
             text = VerificationReport((row,), GridConfig()).to_json()
+            shown = repr(row)
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(old)
         (result,) = json.loads(text)["results"]
         assert result["residual"] == ["1" + "0" * 5000] + ["0"] * 7
+        assert "residual=Octonion(coords=(1" + "0" * 5000 + ", 0, 0, 0, 0, 0, 0, 0))" in shown
 
     def test_report_records_its_config(self):
         cfg = GridConfig(ks=(3, 1), n_max=4, ij_max=2, families=(ML,),
