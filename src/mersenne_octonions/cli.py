@@ -156,7 +156,12 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         raise SystemExit2(str(exc))
     with _output(args.output) as out:
-        out.write(report.to_json() if args.format == "json" else report.summary_table())
+        if args.format == "json":
+            # row by row, so that the report's text is never whole in memory
+            for chunk in report.json_chunks():
+                out.write(chunk)
+        else:
+            out.write(report.summary_table())
     return EXIT_CHECK_FAILED if report.failed else EXIT_OK
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .octonion import Octonion, cd_mul
 from .quadratic import QuadElem, discriminant, lam
-from .sequences import Family, _check_params, decimal_str, seq_window
+from .sequences import Family, _check_params, decimal_repr, decimal_str, seq_window
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -61,7 +61,7 @@ def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
     exercises."""
     # before the cache: 1 and "yes" would each get an entry, [1] no hash
     if type(split) is not bool:
-        raise ValueError(f"split must be a bool, got {split!r}")
+        raise ValueError(f"split must be a bool, got {decimal_repr(split)}")
     return _alpha_beta(k, split)  # positional: one cache key per (k, split)
 
 
@@ -71,7 +71,8 @@ def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
 @lru_cache(maxsize=16, typed=True)
 def _alpha_beta(k: int, split: bool) -> AlphaBeta:
     if split and (type(k) is not int or k != 1):
-        raise ValueError(f"the split lam1 = 2, lam2 = 1 holds only at k = 1, got k={k!r}")
+        raise ValueError("the split lam1 = 2, lam2 = 1 holds only at k = 1, "
+                         f"got k={decimal_repr(k)}")
     lam1, lam2, disc = (2, 1, 1) if split else (lam(k), lam(k).conj(), discriminant(k))
     alpha = Octonion(tuple(lam1**r for r in range(8)))
     beta = Octonion(tuple(lam2**r for r in range(8)))
@@ -100,7 +101,8 @@ def _exact(c, divisor: int = 1) -> int:
     v = c.rational() if isinstance(c, QuadElem) else c
     q, rem = divmod(v, divisor)
     if rem:
-        raise InternalInconsistencyError(f"non-integer value {decimal_str(v)}/{divisor}")
+        raise InternalInconsistencyError(
+            f"non-integer value {decimal_str(v)}/{decimal_str(divisor)}")
     return q
 
 

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import add, neg, sub
 
-from .sequences import decimal_str
+from .sequences import decimal_repr, decimal_str
 
 # Basis products e_i * e_j as (sign, index) meaning sign * e_index.
 _TABLE = (
@@ -49,8 +49,18 @@ def _compile_product(table: tuple):
     straight-line function of two coordinate tuples: one fixed sum per
     output coordinate, generated from the table so that it stays the
     only copy of the basis products.  The function carries the table
-    it was compiled from as its `table` attribute."""
+    it was compiled from as its `table` attribute.  Every sign must be
+    the int +1 or -1 and every index row a permutation of 0..7 (a
+    ValueError otherwise): the sums read only a sign's sign."""
     sign, index = table
+    if len(sign) != 8 or len(index) != 8:
+        raise ValueError("a basis table has 8 rows of signs and 8 of indices")
+    for signs, indices in zip(sign, index):
+        if len(signs) != 8 or not all(type(s) is int and s in (1, -1) for s in signs):
+            raise ValueError(f"a basis sign is the int +1 or -1, got {decimal_repr(signs)}")
+        if not all(type(t) is int for t in indices) or sorted(indices) != list(range(8)):
+            raise ValueError("an index row is a permutation of 0..7, "
+                             f"got {decimal_repr(indices)}")
     terms = [[] for _ in range(8)]
     for i in range(8):
         for j in range(8):
@@ -105,7 +115,7 @@ def _check_basis_index(*indices):
     silently count from the end."""
     for x in indices:
         if type(x) is not int or not 0 <= x <= 7:
-            raise ValueError(f"a basis index is an int in 0..7, got {x!r}")
+            raise ValueError(f"a basis index is an int in 0..7, got {decimal_repr(x)}")
 
 
 @contextmanager

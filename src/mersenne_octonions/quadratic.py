@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequences import decimal_str
+from .sequences import decimal_repr, decimal_str
 
 
 class NonRationalError(ValueError):
@@ -72,9 +72,10 @@ class QuadElem:
 
     def __post_init__(self):
         if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+            raise ValueError(f"k must be a positive integer, got {decimal_repr(self.k)}")
         if type(self.a) is not int or type(self.b) is not int:
-            raise TypeError(f"coordinates must be ints, got {self.a!r}, {self.b!r}")
+            raise TypeError("coordinates must be ints, "
+                            f"got {decimal_repr(self.a)}, {decimal_repr(self.b)}")
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):

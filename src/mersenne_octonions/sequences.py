@@ -17,6 +17,7 @@ everywhere, and values are arbitrary-precision integers (they grow like
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from enum import Enum
 from itertools import islice
 
@@ -36,9 +37,9 @@ def _initial(family: Family, k: int):
 def _check_params(k: int, n: int):
     """k and n must be ints (a bool is not one), k >= 1 and n >= 0."""
     if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        raise ValueError(f"k must be a positive integer, got {decimal_repr(k)}")
     if type(n) is not int or n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
+        raise ValueError(f"n must be nonnegative, got {decimal_repr(n)}")
 
 
 def seq_terms(family: Family, k: int, n: int):
@@ -79,12 +80,26 @@ def seq_fast(family: Family, k: int, n: int) -> int:
     return x0 * v + (x1 - c * x0) * u
 
 
-def decimal_str(x) -> str:
-    """str(x), with every int in it in full decimal: the interpreter's
-    int->str limit is lifted for this conversion only, then restored."""
+@contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's int->str digit limit for the block, then
+    restore it; nested blocks restore in turn."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(x)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def decimal_str(x) -> str:
+    """str(x), with every int in it in full decimal."""
+    with _no_digit_limit():
+        return str(x)
+
+
+def decimal_repr(x) -> str:
+    """repr(x), with every int in it in full decimal: for messages that
+    echo a caller's value."""
+    with _no_digit_limit():
+        return repr(x)

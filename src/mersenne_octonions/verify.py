@@ -31,7 +31,7 @@ from . import __version__
 from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
 from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed,
                             project_rational)
-from .sequences import Family, decimal_str
+from .sequences import Family, decimal_repr, decimal_str
 
 DISCREPANCIES = (
     "conjugate display: the stated conjugates write the real part as the "
@@ -104,10 +104,10 @@ def _check_common(family, k: int, specialized: bool, **counts):
     specialized is a bool, set only at k = 1."""
     # a string equals its Family member as a cache key, not by identity
     if type(family) is not Family:
-        raise ParamError(f"not a family: {family!r}")
+        raise ParamError(f"not a family: {decimal_repr(family)}")
     for name, value in ("k", k), *counts.items():
         if type(value) is not int:
-            raise ParamError(f"{name} must be an integer, got {value!r}")
+            raise ParamError(f"{name} must be an integer, got {decimal_repr(value)}")
     if k < 1:
         raise ParamError(f"k must be a positive integer, got {decimal_str(k)}")
     if min(counts.values()) < 0:
@@ -115,7 +115,7 @@ def _check_common(family, k: int, specialized: bool, **counts):
         raise ParamError(f"need {', '.join(counts)} >= 0, got {got}")
     # specialized keys the right-side caches, so it must be hashable
     if type(specialized) is not bool:
-        raise ParamError(f"specialized must be a bool, got {specialized!r}")
+        raise ParamError(f"specialized must be a bool, got {decimal_repr(specialized)}")
     if specialized and k != 1:
         raise ParamError("specialized forms are defined only at k=1")
 
@@ -243,7 +243,7 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     against the closed right side."""
     _check_common(family, k, specialized, n=n, r=r)
     if ordering not in _ORDERINGS:
-        raise ParamError(f"unknown ordering {ordering!r}")
+        raise ParamError(f"unknown ordering {decimal_repr(ordering)}")
     if r > n:
         raise ParamError(f"need 0 <= r <= n, got r={decimal_str(r)}, n={decimal_str(n)}")
     a, b = (n + r, n - r) if ordering == "lr" else (n - r, n + r)
@@ -268,7 +268,7 @@ def check_cassini(family: Family, k: int, n: int,
     """
     _check_common(family, k, specialized, n=n)
     if ordering not in _ORDERINGS:
-        raise ParamError(f"unknown ordering {ordering!r}")
+        raise ParamError(f"unknown ordering {decimal_repr(ordering)}")
     if n < 1:
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
@@ -357,7 +357,7 @@ def check_finite_sum(family: Family, k: int, n: int,
     """
     _check_common(family, k, form == "specialized", n=n)
     if form not in ("auto", "general", "specialized"):
-        raise ParamError(f"unknown form {form!r}")
+        raise ParamError(f"unknown form {decimal_repr(form)}")
     if form == "auto":
         form = "general" if k >= 2 else "specialized"
     params = {"k": k, "n": n, "form": form}
@@ -425,7 +425,7 @@ class GridConfig:
             raise ConfigError("families must be non-empty")
         for f in self.families:
             if not isinstance(f, Family):
-                raise ConfigError(f"not a family: {f!r}")
+                raise ConfigError(f"not a family: {decimal_repr(f)}")
         # compared by ==, so an unhashable name is unknown, not a TypeError
         unknown = {decimal_str(i) for i in self.identities if i not in IDENTITIES}
         if unknown:
@@ -434,7 +434,7 @@ class GridConfig:
         for name in ("ks", "families", "identities"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
-                raise ConfigError(f"{name} repeats an entry: {values!r}")
+                raise ConfigError(f"{name} repeats an entry: {decimal_repr(values)}")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
         if self.ij_max < 0:
@@ -442,9 +442,9 @@ class GridConfig:
 
 
 def _grid_points(cfg: GridConfig):
-    """Deterministic list of (identity, family, params-dict) tasks."""
-    return [(name, family, params) for name in cfg.identities
-            for family in cfg.families for params in _GRIDS[name](cfg)]
+    """The (identity, family, params-dict) tasks, generated in grid order."""
+    return ((name, family, params) for name in cfg.identities
+            for family in cfg.families for params in _GRIDS[name](cfg))
 
 
 def _evaluate_point(point):
@@ -474,7 +474,8 @@ class VerificationReport:
     def failed(self) -> bool:
         return any(status is Status.FAIL for _, _, status in self._counts)
 
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
+        """The report document without its results."""
         return {
             "schema_version": 2,
             "tool": "mersenne-octonions",
@@ -485,16 +486,25 @@ class VerificationReport:
             "discrepancies": list(self.discrepancies),
             # every grid point meets its check's preconditions
             "input_errors": [],
-            "results": [r.to_dict() for r in self.results],
         }
+
+    def to_dict(self) -> dict:
+        return {**self._header(), "results": [r.to_dict() for r in self.results]}
+
+    def json_chunks(self):
+        """The to_json text in pieces, so that a writer never holds all of
+        it: the header up to the results, then one row a piece, then the
+        end."""
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        yield f'{encode(self._header())[:-1]},"results":[\n'
+        for i, r in enumerate(self.results):
+            yield (",\n" if i else "") + encode(r.to_dict())
+        yield "\n]}\n"
 
     def to_json(self) -> str:
         """The to_dict document in compact JSON with sorted keys, except
         that the results come last, one row per line, in grid order."""
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        doc = self.to_dict()
-        rows = ",\n".join(map(encode, doc.pop("results")))
-        return f'{encode(doc)[:-1]},"results":[\n{rows}\n]}}\n'
+        return "".join(self.json_chunks())
 
     def summary_table(self) -> str:
         """Human-readable per-identity tally."""
@@ -533,15 +543,18 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     MERSOCT_MAX_WORKERS > 1 they are spread over processes, at most
     one per CPU and one per point.  The results come in grid order,
     which pool.map keeps, so the report does not depend on the worker
-    count.  A grid with no point is a ConfigError, not an empty report.
+    count.  A serial run evaluates each point as it is generated.  A
+    grid with no point is a ConfigError, not an empty report.
     """
     global ProcessPoolExecutor
     cfg = cfg or GridConfig()
     points = _grid_points(cfg)
-    if not points:
-        raise ConfigError("the selected identities have no grid point at these k and n")
-    # a pool starts every worker up front, so the count must be bounded
-    workers = min(_max_workers(), os.cpu_count() or 1, len(points))
+    # a pool starts every worker up front, so the count must be bounded;
+    # it cuts the grid into one chunk per worker, so it takes the list
+    workers = min(_max_workers(), os.cpu_count() or 1)
+    if workers > 1:
+        points = list(points)
+        workers = min(workers, len(points))
     if workers > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
@@ -554,4 +567,6 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
                                      chunksize=math.ceil(len(points) / workers)))
     else:
         results = tuple(map(_evaluate_point, points))
+    if not results:
+        raise ConfigError("the selected identities have no grid point at these k and n")
     return VerificationReport(results, cfg)

@@ -127,6 +127,43 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["summary"]["FAIL"] == 0
 
+    def test_json_is_written_row_by_row(self, tmp_path, capsys, monkeypatch):
+        # the CLI writes the report's chunks as they come and never asks
+        # for its whole text, to a file and to stdout alike
+        from mersenne_octonions.verify import GridConfig, VerificationReport, run_grid
+
+        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1, identities=("cassini", "vajda"))
+        expected = run_grid(cfg).to_json()
+
+        def whole_text(self):
+            raise AssertionError("the whole report was built")
+
+        monkeypatch.setattr(VerificationReport, "to_json", whole_text)
+        args = ["verify", "--k", "1..2", "--n", "3", "--ij-max", "1",
+                "--identities", "cassini,vajda", "--format", "json"]
+        path = tmp_path / "report.json"
+        assert main([*args, "-o", str(path)]) == 0
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert path.read_bytes().decode() == out == expected
+
+    def test_default_json_report_streams(self, run_fresh):
+        # a serial run evaluates each point as it is generated, and the
+        # report is written row by row: the traced peak is about 15 MB,
+        # most of it the results, where holding the point list, every
+        # row as a dict and the report's text peaked at 37 MB or more
+        proc = run_fresh("""
+            import os, tracemalloc
+
+            tracemalloc.start()
+            from mersenne_octonions.cli import main
+
+            assert main(["verify", "--format", "json", "-o", os.devnull]) == 0
+            print(tracemalloc.get_traced_memory()[1])
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 24 * 2**20, int(proc.stdout) / 2**20
+
     def test_k1_general_finite_sum_all_skipped(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--k", "1", "--n", "0..3",
@@ -264,8 +301,10 @@ class TestFailedWrite:
         ["seq", "--k", "1", "--n", "0"],
         ["oct", "--k", "1", "--n", "0"],
         ["verify", "--identities", "cassini", "--n", "1..2"],
+        # a report of several buffers, written row by row
+        ["verify", "--identities", "vajda", "--k", "1..2", "--format", "json"],
         ["bench", "--n-values", "10", "--repeat", "1"],
-    ], ids=["seq", "oct", "verify", "bench"])
+    ], ids=["seq", "oct", "verify", "verify-json", "bench"])
     @pytest.mark.parametrize("to", ["file", "stdout", "unbuffered-stdout"])
     def test_exits_2_with_one_error(self, argv, to):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

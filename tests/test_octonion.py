@@ -283,6 +283,23 @@ class TestCompiledProduct:
 
 
 class TestCorruptionHook:
+    # the compiled sums read only a sign's sign, so a magnitude other
+    # than 1 would compile as +-1, and a repeated index would drop a term
+    @pytest.mark.parametrize("entry", [(2, 3), (0, 3), (-2, 3), (True, 3), (1, 4)],
+                             ids=["sign 2", "sign 0", "sign -2", "sign True",
+                                  "repeated index"])
+    def test_malformed_table_refused(self, monkeypatch, entry):
+        monkeypatch.setattr(octonion, "_products", list(octonion._products))
+        sign = [list(row) for row in SIGN]
+        index = [list(row) for row in INDEX]
+        # e1 * e2 = +e3; row 1 already holds e4, at e1 * e4
+        sign[1][2], index[1][2] = entry
+        table = (tuple(map(tuple, sign)), tuple(map(tuple, index)))
+        stack = list(octonion._products)
+        with pytest.raises(ValueError, match="basis sign|index row"):
+            use_basis_table(table)
+        assert octonion._products == stack
+
     def test_flips_one_product_and_restores(self):
         e1, e2 = Octonion.basis(1), Octonion.basis(2)
         assert e1 * e2 == Octonion.basis(3)

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mersenne_octonions.octonion import Octonion
 from mersenne_octonions.oct_sequences import (
     oct_seq,
     oct_seq_closed,
@@ -13,6 +14,7 @@ from mersenne_octonions.oct_sequences import (
 )
 from mersenne_octonions.sequences import (
     Family,
+    decimal_repr,
     decimal_str,
     seq_fast,
     seq_terms,
@@ -195,3 +197,11 @@ class TestDecimalStr:
         finally:
             sys.set_int_max_str_digits(old)
         assert texts == ["0", "-7", "1" + "0" * 5000, "-1" + "0" * 5000]
+
+    def test_repr_of_any_length(self, default_digit_limit):
+        # a message's echo of a caller's value; an octonion's display
+        # lifts the limit again inside it and restores the outer lift
+        big = 10**5000
+        assert decimal_repr((big, "a")) == "(1" + "0" * 5000 + ", 'a')"
+        assert decimal_repr([Octonion.basis(0, -big)]) == (
+            "[Octonion(coords=(-1" + "0" * 5000 + ", 0, 0, 0, 0, 0, 0, 0))]")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mersenne_octonions.octonion import Octonion, corrupted_basis_table
 from mersenne_octonions.sequences import Family, seq_value, seq_window
 from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed
+from mersenne_octonions.quadratic import QuadElem
 from mersenne_octonions import oct_sequences, sequences, verify
 from mersenne_octonions.verify import (
     IDENTITIES,
@@ -285,6 +286,53 @@ class TestCheckCommon:
         assert str(exc.value) == "n must be an integer, got <Three.THREE: 3>"
 
 
+class _BigInt(int):
+    """An int subclass, which the checks refuse as a count."""
+
+
+_BIG = 10**5000
+# str(_BIG) itself would fail under the default digit limit
+_DIGITS = "1" + "0" * 5000
+
+
+class TestMessagesPastTheDigitLimit:
+    # a message that echoes a caller's value writes its ints in full, so
+    # a huge value keeps the error's type and its text under the default
+    # limit, where plain repr raises a bare ValueError
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: GridConfig(ks=(_BIG, _BIG)), ConfigError,
+         f"ks repeats an entry: ({_DIGITS}, {_DIGITS})"),
+        (lambda: GridConfig(families=(_BIG,)), ConfigError, f"not a family: {_DIGITS}"),
+        (lambda: verify._check_common(_BIG, 1, False, n=1), ParamError,
+         f"not a family: {_DIGITS}"),
+        (lambda: verify._check_common(M, 1, False, n=_BigInt(_BIG)), ParamError,
+         f"n must be an integer, got {_DIGITS}"),
+        (lambda: verify._check_common(M, 1, _BIG, n=1), ParamError,
+         f"specialized must be a bool, got {_DIGITS}"),
+        (lambda: check_catalan(M, 2, 1, 1, ordering=_BIG), ParamError,
+         f"unknown ordering {_DIGITS}"),
+        (lambda: check_finite_sum(M, 2, 1, form=_BIG), ParamError, f"unknown form {_DIGITS}"),
+        (lambda: seq_value(M, 1, -_BIG), ValueError, f"n must be nonnegative, got -{_DIGITS}"),
+        (lambda: seq_value(M, -_BIG, 1), ValueError,
+         f"k must be a positive integer, got -{_DIGITS}"),
+        (lambda: Octonion.basis(_BIG), ValueError, f"a basis index is an int in 0..7, got {_DIGITS}"),
+        (lambda: QuadElem(-_BIG, 0, 0), ValueError,
+         f"k must be a positive integer, got -{_DIGITS}"),
+        (lambda: QuadElem(2, _BIG, 1.5), TypeError, f"coordinates must be ints, got {_DIGITS}, 1.5"),
+        (lambda: alpha_beta(1, _BIG), ValueError, f"split must be a bool, got {_DIGITS}"),
+        (lambda: alpha_beta(_BIG, True), ValueError,
+         f"the split lam1 = 2, lam2 = 1 holds only at k = 1, got k={_DIGITS}"),
+    ], ids=["GridConfig-repeat", "GridConfig-family", "guard-family", "guard-count",
+            "guard-specialized", "catalan-ordering", "finite_sum-form", "seq-n", "seq-k",
+            "basis-index", "QuadElem-k", "QuadElem-coords", "alpha_beta-split",
+            "alpha_beta-k"])
+    def test_error_keeps_its_type_and_text(self, default_digit_limit, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+
 class TestOtherChecks:
     def test_binet(self):
         assert check_binet(ML, 4, 7).status is Status.PASS
@@ -462,7 +510,7 @@ class TestCorruptedTable:
         # no octonion product, so they cannot see the table; the product
         # identities must fail in the general pass and in the k = 1 split
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
-        assert len(verify._grid_points(cfg)) == 380
+        assert len(list(verify._grid_points(cfg))) == 380
         expected = {(name, sp) for name in ("catalan", "cassini", "docagne", "vajda")
                     for sp in (False, True)}
         for i in range(8):
@@ -585,6 +633,45 @@ class TestGrid:
         except ConfigError:
             return
         json.loads(report.to_json())
+
+    def test_serial_grid_is_evaluated_as_it_is_generated(self, monkeypatch):
+        # each point's row exists before the next point is generated, so
+        # a serial run never holds the grid's point list
+        seen, evaluated = [], []
+        points, evaluate = verify._GRIDS["binet"], verify._evaluate_point
+
+        def recording(cfg):
+            for params in points(cfg):
+                seen.append(len(evaluated))
+                yield params
+
+        def counting(point):
+            evaluated.append(point)
+            return evaluate(point)
+
+        monkeypatch.setitem(verify._GRIDS, "binet", recording)
+        monkeypatch.setattr(verify, "_evaluate_point", counting)
+        monkeypatch.setenv("MERSOCT_MAX_WORKERS", "1")
+        report = run_grid(GridConfig(ks=(2,), n_max=3, families=(M,), identities=("binet",)))
+        assert len(report.results) == 4
+        assert seen == [0, 1, 2, 3]
+
+    def test_empty_report_keeps_its_ending(self):
+        # run_grid never returns a report with no row, but one still
+        # writes its results as an empty list on two lines
+        report = VerificationReport((), GridConfig())
+        assert report.to_json().endswith('"results":[\n\n]}\n')
+        assert report.to_dict()["results"] == []
+        assert json.loads(report.to_json())["results"] == []
+
+    def test_json_is_the_to_dict_document_in_chunks(self):
+        # the header, one chunk per row, then the end
+        with corrupted_basis_table():
+            report = run_grid(GridConfig(ks=(1, 2), n_max=3, ij_max=1))
+        chunks = list(report.json_chunks())
+        assert len(chunks) == len(report.results) + 2
+        assert "".join(chunks) == report.to_json()
+        assert json.loads(report.to_json()) == json.loads(json.dumps(report.to_dict()))
 
     def test_report_deterministic(self):
         cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2)
