@@ -155,6 +155,7 @@ class TestVerify:
         proc = run_fresh("""
             import os, tracemalloc
 
+            os.environ.pop("MERSOCT_MAX_WORKERS", None)  # serial
             tracemalloc.start()
             from mersenne_octonions.cli import main
 
