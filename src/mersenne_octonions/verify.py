@@ -19,19 +19,19 @@ derivation actually yields (see DISCREPANCIES below).
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import sub
 
 from . import __version__
 from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
 from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed,
                             project_rational)
-from .sequences import Family, decimal_repr, decimal_str
+from .sequences import Family, _no_digit_limit, decimal_repr, decimal_str
 
 DISCREPANCIES = (
     "conjugate display: the stated conjugates write the real part as the "
@@ -61,6 +61,10 @@ class ConfigError(ValueError):
     """Malformed grid configuration, rejected before any evaluation."""
 
 
+# the one JSON encoder of a report, its header and its rows alike
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class CheckResult:
     identity: str
@@ -83,9 +87,30 @@ class CheckResult:
             "note": self.note,
         }
 
+    def to_json(self) -> str:
+        """The report row, as one line of compact JSON with sorted keys."""
+        return _encode(self.to_dict())
 
-# the residual of every PASS row, shared: a pool pickles it once per chunk
+
+# the residual of every PASS row, shared, so that a PASS builds no octonion
 _ZERO = Octonion.zero()
+
+
+def _decode_rows(text: str) -> tuple:
+    """The CheckResults whose to_json rows, joined by ",\n", make text.
+    A PASS row gets the shared zero residual and a SKIPPED row none, as
+    when it was evaluated."""
+    residuals = {Status.PASS: _ZERO, Status.SKIPPED: None}
+    results = []
+    # a FAIL residual, or a parameter, may be longer than the limit allows
+    with _no_digit_limit():
+        for row in json.loads(f"[{text}]"):
+            status = Status(row["status"])
+            residual = (Octonion(map(int, row["residual"])) if status is Status.FAIL
+                        else residuals[status])
+            results.append(CheckResult(row["identity"], Family(row["family"]),
+                                       row["params"], status, residual, row["note"]))
+    return tuple(results)
 
 
 def _result(identity, family, params, lhs: tuple, rhs: tuple, note="") -> CheckResult:
@@ -452,6 +477,24 @@ def _evaluate_point(point):
     return _CHECKS[identity](family, **params)
 
 
+def _tally(r: CheckResult) -> tuple:
+    """The key a report counts r under."""
+    return r.identity, r.family, r.status
+
+
+def _evaluate_slice(job) -> tuple:
+    """A pool worker's share of the grid, points lo to hi - 1 of cfg's:
+    their rows as JSON text, joined by ",\n", and their Counter of
+    _tally keys.  The worker generates the points itself, so that none
+    crosses the pool."""
+    cfg, lo, hi = job
+    counts, rows = Counter(), []
+    for r in map(_evaluate_point, islice(_grid_points(cfg), lo, hi)):
+        counts[_tally(r)] += 1
+        rows.append(r.to_json())
+    return ",\n".join(rows), counts
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     results: tuple
@@ -461,7 +504,7 @@ class VerificationReport:
     @cached_property
     def _counts(self) -> Counter:
         """Results per (identity, family, status), counted in one walk."""
-        return Counter((r.identity, r.family, r.status) for r in self.results)
+        return Counter(map(_tally, self.results))
 
     @property
     def summary(self) -> dict:
@@ -491,14 +534,18 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {**self._header(), "results": [r.to_dict() for r in self.results]}
 
+    def _row_blocks(self):
+        """The rows' JSON text, in blocks of rows joined by ",\n": here one
+        row a block, encoded as it is asked for."""
+        return map(CheckResult.to_json, self.results)
+
     def json_chunks(self):
         """The to_json text in pieces, so that a writer never holds all of
-        it: the header up to the results, then one row a piece, then the
-        end."""
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        yield f'{encode(self._header())[:-1]},"results":[\n'
-        for i, r in enumerate(self.results):
-            yield (",\n" if i else "") + encode(r.to_dict())
+        it: the header up to the results, then one block of rows a piece,
+        then the end."""
+        yield f'{_encode(self._header())[:-1]},"results":[\n'
+        for i, block in enumerate(self._row_blocks()):
+            yield (",\n" if i else "") + block
         yield "\n]}\n"
 
     def to_json(self) -> str:
@@ -520,6 +567,24 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+class _PoolReport(VerificationReport):
+    """A pool run's report, built from its workers' shares in grid order:
+    the summed counts give its summary and table, the workers' text its
+    rows, and results is decoded from that text when first read."""
+
+    def __init__(self, config: GridConfig, shares):
+        blocks, counts = zip(*shares)
+        # the dataclass is frozen: fill the instance as its __init__ would
+        vars(self).update(config=config, _blocks=blocks, _counts=sum(counts, Counter()))
+
+    @cached_property
+    def results(self) -> tuple:
+        return _decode_rows(",\n".join(self._blocks))
+
+    def _row_blocks(self):
+        return self._blocks
+
+
 # The pool's modules (multiprocessing, pickle, socket and more) load on
 # the first run with more than one worker, so that every other command
 # starts without them.  run_grid reads this name at call time, so that
@@ -539,34 +604,36 @@ def _max_workers() -> int:
 def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     """Evaluate every enabled identity over the configured grid.
 
-    Grid points are independent pure evaluations; with
-    MERSOCT_MAX_WORKERS > 1 they are spread over processes, at most
-    one per CPU and one per point.  The results come in grid order,
-    which pool.map keeps, so the report does not depend on the worker
-    count.  A serial run evaluates each point as it is generated.  A
-    grid with no point is a ConfigError, not an empty report.
+    Grid points are independent pure evaluations.  A serial run
+    evaluates each point as it is generated and keeps the results.
+    With MERSOCT_MAX_WORKERS > 1 the grid is cut into one contiguous
+    slice per process, at most one per CPU and one per point; each
+    worker evaluates its slice and sends back only its rows' JSON text
+    and their counts, which pool.map keeps in grid order.  So the report
+    does not depend on the worker count.  A grid with no point is a
+    ConfigError, not an empty report.
     """
     global ProcessPoolExecutor
     cfg = cfg or GridConfig()
-    points = _grid_points(cfg)
     # a pool starts every worker up front, so the count must be bounded;
-    # it cuts the grid into one chunk per worker, so it takes the list
+    # the points are counted to cut the slices, and never listed
     workers = min(_max_workers(), os.cpu_count() or 1)
     if workers > 1:
-        points = list(points)
-        workers = min(workers, len(points))
+        size = sum(1 for _ in _grid_points(cfg))
+        workers = min(workers, size)
     if workers > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
+        slices = [(cfg, size * w // workers, size * (w + 1) // workers)
+                  for w in range(workers)]
         # the initializer carries the active basis table (the mutation
         # hook's, if it is on) into workers under every start method
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=use_basis_table,
                                  initargs=(active_basis_table(),)) as pool:
-            results = tuple(pool.map(_evaluate_point, points,
-                                     chunksize=math.ceil(len(points) / workers)))
-    else:
-        results = tuple(map(_evaluate_point, points))
+            shares = tuple(pool.map(_evaluate_slice, slices, chunksize=1))
+        return _PoolReport(cfg, shares)
+    results = tuple(map(_evaluate_point, _grid_points(cfg)))
     if not results:
         raise ConfigError("the selected identities have no grid point at these k and n")
     return VerificationReport(results, cfg)

@@ -252,15 +252,17 @@ class TestVerify:
         assert any(c != "0" for c in failing[0]["residual"])
 
     @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-    def test_corrupted_table_fails_in_spawned_workers(self, method):
+    def test_corrupted_table_fails_in_spawned_workers(self, method, capsys, monkeypatch):
         # forkserver and spawn workers import a fresh package, so the
-        # corrupted table must be handed to them rather than inherited
+        # corrupted table must be handed to them rather than inherited,
+        # and each rebuilds its slice of the grid from the pickled config
+        args = ["verify", "--k", "1..2", "--n", "6", "--corrupt-table", "--format", "json",
+                "--identities", "catalan,cassini,docagne,vajda"]
         code = (
             "import multiprocessing, sys\n"
             "from mersenne_octonions.cli import main\n"
             f"multiprocessing.set_start_method({method!r})\n"
-            "sys.exit(main(['verify', '--k', '2', '--n', '1..3',"
-            " '--identities', 'cassini', '--corrupt-table']))\n"
+            f"sys.exit(main({args!r}))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
@@ -268,6 +270,11 @@ class TestVerify:
         )
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
+        # the FAIL rows, residuals included, are the serial report's bytes
+        monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        code, serial, _ = run_cli(capsys, *args)
+        assert code == 1
+        assert proc.stdout == serial
 
     def test_bad_worker_count_is_usage_error(self):
         proc = subprocess.run(

@@ -749,6 +749,8 @@ class TestGrid:
         try:
             text = VerificationReport((row,), GridConfig()).to_json()
             shown = repr(row)
+            # a pool report decodes its results from the rows' text
+            assert verify._decode_rows(row.to_json()) == (row,)
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(old)
@@ -800,18 +802,29 @@ class TestGrid:
             assert row.index(family) == header.index("family")
 
     def test_parallel_run_matches_serial(self, monkeypatch):
+        def assert_same(serial, parallel):
+            # a pool report writes its text, summary and table from its
+            # workers' rows and counts, without decoding its results
+            assert parallel.to_json() == serial.to_json()
+            assert parallel.summary == serial.summary
+            assert parallel.failed == serial.failed
+            assert parallel.summary_table() == serial.summary_table()
+            assert "results" not in vars(parallel)
+            # decoded when asked, the results are the serial ones
+            assert parallel.results == serial.results
+            assert parallel.to_dict() == serial.to_dict()
+
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         serial = run_grid(cfg)
         monkeypatch.setenv("MERSOCT_MAX_WORKERS", "2")
-        parallel = run_grid(cfg)
-        assert serial.to_json() == parallel.to_json()
+        assert_same(serial, run_grid(cfg))
         # FAIL rows carry their residuals across the pool unchanged
         with corrupted_basis_table():
             parallel = run_grid(cfg)
             monkeypatch.setenv("MERSOCT_MAX_WORKERS", "1")
             serial = run_grid(cfg)
-        assert serial.summary["FAIL"] > 0
-        assert serial.to_json() == parallel.to_json()
+        assert serial.failed and serial.summary["FAIL"] > 0
+        assert_same(serial, parallel)
 
     def test_worker_count_is_clamped(self, monkeypatch):
         # a pool starts all its workers up front, so a huge request must
