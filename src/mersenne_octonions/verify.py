@@ -102,7 +102,7 @@ def _decode_rows(text: str) -> tuple:
     when it was evaluated."""
     residuals = {Status.PASS: _ZERO, Status.SKIPPED: None}
     results = []
-    # a FAIL residual, or a parameter, may be longer than the limit allows
+    # a FAIL residual may have more digits than the limit allows
     with _no_digit_limit():
         for row in json.loads(f"[{text}]"):
             status = Status(row["status"])

@@ -254,7 +254,7 @@ class TestUncheckedResults:
             assert type(x) is Octonion and type(x.coords) is tuple
             checked = Octonion(tuple(x.coords))
             assert x == checked and hash(x) == hash(checked)
-            # a pool pickles FAIL residuals back to the parent
+            # so is a pickled copy
             copy = pickle.loads(pickle.dumps(x))
             assert type(copy) is Octonion and copy == x and copy.coords == x.coords
 

@@ -816,6 +816,8 @@ class TestGrid:
 
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         serial = run_grid(cfg)
+        # a pool, even on one CPU
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("MERSOCT_MAX_WORKERS", "2")
         assert_same(serial, run_grid(cfg))
         # FAIL rows carry their residuals across the pool unchanged
@@ -823,7 +825,7 @@ class TestGrid:
             parallel = run_grid(cfg)
             monkeypatch.setenv("MERSOCT_MAX_WORKERS", "1")
             serial = run_grid(cfg)
-        assert serial.failed and serial.summary["FAIL"] > 0
+        assert serial.summary["FAIL"] > 0
         assert_same(serial, parallel)
 
     def test_worker_count_is_clamped(self, monkeypatch):
