@@ -61,8 +61,17 @@ class ConfigError(ValueError):
     """Malformed grid configuration, rejected before any evaluation."""
 
 
-# the one JSON encoder of a report, its header and its rows alike
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _encode(obj) -> str:
+    """The one JSON encoder of a report, its header and its rows alike;
+    only an int past the digit limit (a ValueError) costs a second pass."""
+    try:
+        return _compact(obj)
+    except ValueError:
+        with _no_digit_limit():
+            return _compact(obj)
 
 
 @dataclass(frozen=True)
@@ -92,32 +101,22 @@ class CheckResult:
         return _encode(self.to_dict())
 
 
-# the residual of every PASS row, shared, so that a PASS builds no octonion
-_ZERO = Octonion.zero()
-
-
 def _decode_rows(text: str) -> tuple:
-    """The CheckResults whose to_json rows, joined by ",\n", make text.
-    A PASS row gets the shared zero residual and a SKIPPED row none, as
-    when it was evaluated."""
-    residuals = {Status.PASS: _ZERO, Status.SKIPPED: None}
-    results = []
+    """The CheckResults whose to_json rows, joined by ",\n", make text,
+    each field as its row writes it: a FAIL's residual, null otherwise."""
     # a FAIL residual may have more digits than the limit allows
     with _no_digit_limit():
-        for row in json.loads(f"[{text}]"):
-            status = Status(row["status"])
-            residual = (Octonion(map(int, row["residual"])) if status is Status.FAIL
-                        else residuals[status])
-            results.append(CheckResult(row["identity"], Family(row["family"]),
-                                       row["params"], status, residual, row["note"]))
-    return tuple(results)
+        return tuple(CheckResult(row["identity"], Family(row["family"]), row["params"],
+                                 Status(row["status"]),
+                                 row["residual"] and Octonion(map(int, row["residual"])),
+                                 row["note"]) for row in json.loads(f"[{text}]"))
 
 
 def _result(identity, family, params, lhs: tuple, rhs: tuple, note="") -> CheckResult:
-    """PASS when the two sides' coordinate tuples are equal; only a FAIL
-    builds octonions, for its residual."""
+    """PASS, with no residual, when the two sides' coordinate tuples are
+    equal; only a FAIL builds octonions, for its residual."""
     if lhs == rhs:
-        return CheckResult(identity, family, params, Status.PASS, _ZERO, note)
+        return CheckResult(identity, family, params, Status.PASS, note=note)
     return CheckResult(identity, family, params, Status.FAIL,
                        Octonion(lhs) - Octonion(rhs), note)
 
@@ -199,9 +198,8 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
     _check_common(family, k, False, n=n)
     direct = oct_seq(family, k, n).norm_sq()
     closed = oct_seq_norm_sq_closed(family, k, n)
-    lhs = Octonion.basis(0, direct)
-    rhs = Octonion.basis(0, closed)
-    return _result("norm_closed", family, {"k": k, "n": n}, lhs.coords, rhs.coords)
+    return _result("norm_closed", family, {"k": k, "n": n},
+                   (direct,) + (0,) * 7, (closed,) + (0,) * 7)
 
 
 # --- Catalan, Cassini, d'Ocagne and Vajda ----------------------------
@@ -360,8 +358,8 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
         if c_p != expected:
             return _result("genfunc_ordinary", family, params, c_p.coords, expected.coords,
                            note=f"first mismatch at coefficient {n}")
-    return _result("genfunc_ordinary", family, params, _ZERO.coords, _ZERO.coords,
-                   note="denominator 1 - 3kx + 2x^2 per derivation")
+    return CheckResult("genfunc_ordinary", family, params, Status.PASS,
+                       note="denominator 1 - 3kx + 2x^2 per derivation")
 
 
 # the k = 1 pass is the specialized form, over the general pass's n range

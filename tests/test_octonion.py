@@ -207,6 +207,16 @@ class TestScalarRings:
         with pytest.raises(ValueError):
             Octonion((1, 2, 3))
 
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 1,
+        lambda x: x - 1,
+        lambda x: x * 2,
+    ], ids=["add", "sub", "mul"])
+    def test_non_octonion_operand_rejected(self, op):
+        # a scalar acts only through scale
+        with pytest.raises(TypeError):
+            op(Octonion.basis(1))
+
     def test_any_iterable_of_eight(self):
         # the coordinates are copied to a tuple before the length check,
         # so a generator works and a wrong-length iterator is a ValueError
@@ -298,6 +308,10 @@ class TestCorruptionHook:
         stack = list(octonion._products)
         with pytest.raises(ValueError, match="basis sign|index row"):
             use_basis_table(table)
+        assert octonion._products == stack
+        # and so is a table without 8 rows
+        with pytest.raises(ValueError, match="8 rows"):
+            use_basis_table((table[0][:7], table[1][:7]))
         assert octonion._products == stack
 
     def test_flips_one_product_and_restores(self):

@@ -76,6 +76,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             QuadElem(0, 1, 0)
 
+    def test_int_on_the_left_of_a_difference(self):
+        # Octonion products over the ring subtract from an int zero
+        assert 3 - lam(2) == QuadElem(2, 3, -1)
+
+
+class TestIntegerValues:
+    """An element with zero L-coordinate is its integer value: it
+    equals and hashes as that int, and as the same value in any ring."""
+
+    def test_equal_across_rings_only_when_rational(self):
+        assert QuadElem(1, 3, 0) == QuadElem(2, 3, 0) != QuadElem(2, 3, 1)
+        assert QuadElem(1, 3, 1) != QuadElem(2, 3, 1)
+        assert QuadElem(1, 3, 0) != QuadElem(2, 4, 0)
+
+    def test_hash_of_an_integer_value(self):
+        assert len({QuadElem(2, 5, 0), 5}) == 1
+        assert hash(QuadElem(1, 5, 0)) == hash(QuadElem(3, 5, 0)) == hash(5)
+        assert len({QuadElem(2, 5, 1), QuadElem(2, 5, 1), 5}) == 2
+
 
 class TestConjugation:
     def test_conj_of_lambda(self):
@@ -102,6 +121,10 @@ class TestConjugation:
 class TestPowers:
     def test_zeroth_power(self):
         assert lam(3) ** 0 == one(3)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative powers"):
+            lam(3) ** -1
 
     def test_square_k1(self):
         assert lam(1) ** 2 == QuadElem(1, -2, 3)
@@ -248,6 +271,18 @@ class TestCoordinateTypes:
     def test_rejects_a_fraction_operand(self):
         with pytest.raises(TypeError):
             lam(2) * Fraction(1, 2)
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 1.5,
+        lambda x: x - 1.5,
+        lambda x: 1.5 - x,
+    ], ids=["add", "sub", "rsub"])
+    def test_rejects_a_float_operand(self, op):
+        with pytest.raises(TypeError):
+            op(lam(2))
+
+    def test_never_equals_a_float(self):
+        assert QuadElem(2, 1, 0) != 1.0
 
     def test_arithmetic_keeps_ints(self):
         for k in (1, 2, 5):

@@ -50,6 +50,8 @@ class TestRecurrence:
         assert seq_window(ML, 2, 3, 4) == tuple(
             seq_value(ML, 2, n) for n in range(3, 7)
         )
+        # by default, one octonion's eight coordinates
+        assert seq_window(M, 2, 3) == tuple(seq_value(M, 2, n) for n in range(3, 11))
 
     def test_bad_params(self):
         for fn in (seq_value, seq_binet):

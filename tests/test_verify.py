@@ -1,9 +1,11 @@
 """Tests for the identity verifier and its report machinery."""
 
 import collections
+import contextlib
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -11,7 +13,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mersenne_octonions.octonion import Octonion, corrupted_basis_table
+from mersenne_octonions.octonion import (INDEX, SIGN, Octonion, active_basis_table,
+                                         corrupted_basis_table, use_basis_table)
 from mersenne_octonions.sequences import Family, seq_value, seq_window
 from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed
 from mersenne_octonions.quadratic import QuadElem
@@ -70,7 +73,7 @@ class TestCatalan:
         for family in (M, ML):
             res = check_catalan(family, 3, 5, 0, "lr")
             assert res.status is Status.PASS
-            assert res.residual.is_zero()
+            assert res.residual is None
 
     def test_orderings_have_different_rhs(self):
         # alpha*beta != beta*alpha, so the lr and rl right sides differ
@@ -243,6 +246,7 @@ class TestCheckCommon:
             (check_catalan, (M, 2, 3, 1.0), {}),
             (check_catalan, (M, 1, 1, 1), {"specialized": [1]}),
             (check_catalan, (M, 2, 1, 5), {}),
+            (check_cassini, (M, 2, 3, "xy"), {}),
             (check_binet, (M, -(10**5000), 1), {}),
             (check_binet, (M, 1, -(10**5000)), {}),
             (check_catalan, (M, 1, 1, 10**5000), {}),
@@ -340,6 +344,16 @@ class TestOtherChecks:
 
     def test_norm_closed(self):
         assert check_norm_closed(M, 3, 5).status is Status.PASS
+
+    def test_a_pass_builds_no_octonion(self, monkeypatch):
+        # a PASS carries no residual, so no check builds an octonion for
+        # one; only a FAIL does, for its residual
+        monkeypatch.setattr(verify, "Octonion", None)
+        for res in (check_binet(ML, 2, 5), check_norm_closed(M, 3, 5),
+                    check_catalan(M, 2, 4, 2, "rl"), check_vajda(ML, 1, 2, 2, 1, True),
+                    check_genfunc_ordinary(ML, 2, 8), check_finite_sum(M, 2, 4)):
+            assert res.status is Status.PASS, res.identity
+            assert res.residual is None, res.identity
 
     def test_specialized_needs_k1(self):
         with pytest.raises(ParamError):
@@ -505,21 +519,41 @@ class TestCorruptedTable:
                 assert all(type(x) is int for x in res.residual.coords)
                 assert res.residual == wrong - true, (family, k, sp)
 
+    @staticmethod
+    @contextlib.contextmanager
+    def _index_swapped(i, j1, j2):
+        """The true table with e_i e_j1 and e_i e_j2 sent to each other's
+        basis element, in force for the block."""
+        index = [list(row) for row in INDEX]
+        index[i][j1], index[i][j2] = index[i][j2], index[i][j1]
+        use_basis_table((SIGN, tuple(map(tuple, index))))
+        try:
+            yield
+        finally:
+            use_basis_table((SIGN, INDEX))
+
     def test_every_sign_flip_fails_the_product_identities(self):
         # Binet, norm, the generating function and the finite sum take
         # no octonion product, so they cannot see the table; the product
-        # identities must fail in the general pass and in the k = 1 split
+        # identities must fail in the general pass and in the k = 1 split,
+        # under each of the 64 sign flips and each of the 8 * 28 swaps of
+        # two indices within a row (a single redirected index does not
+        # compile)
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         assert len(list(verify._grid_points(cfg))) == 380
         expected = {(name, sp) for name in ("catalan", "cassini", "docagne", "vajda")
                     for sp in (False, True)}
-        for i in range(8):
-            for j in range(8):
-                with corrupted_basis_table(i, j):
-                    report = run_grid(cfg)
-                failed = {(r.identity, r.params.get("specialized")) for r in report.results
-                          if r.status is Status.FAIL}
-                assert failed == expected, (i, j)
+        mutants = [(corrupted_basis_table, (i, j)) for i in range(8) for j in range(8)]
+        mutants += [(self._index_swapped, (i, *pair)) for i in range(8)
+                    for pair in itertools.combinations(range(8), 2)]
+        assert len(mutants) == 64 + 224
+        for mutant, args in mutants:
+            with mutant(*args):
+                report = run_grid(cfg)
+            failed = {(r.identity, r.params.get("specialized")) for r in report.results
+                      if r.status is Status.FAIL}
+            assert failed == expected, (mutant.__name__, args)
+        assert active_basis_table() == (SIGN, INDEX)
 
     def test_warm_products_do_not_hide_a_corrupted_table(self):
         # the clean run fills the left sides' product cache first; the
@@ -573,6 +607,8 @@ class TestGrid:
     def test_default_grid_all_pass(self, default_report):
         assert default_report.summary["FAIL"] == 0
         assert default_report.summary["PASS"] > 0
+        # a row holds a residual only when it FAILs, as its JSON row does
+        assert all(r.residual is None for r in default_report.results)
 
     def test_skips_only_general_finite_sum_at_k1(self, default_report):
         skipped = [r for r in default_report.results if r.status is Status.SKIPPED]
@@ -603,7 +639,7 @@ class TestGrid:
 
     def test_malformed_config_rejected(self, default_digit_limit):
         for kwargs in (
-            {"ks": ()},
+            {"ks": ()}, {"families": ()},
             {"identities": ("nope",)},
             # an empty name, as `--identities ""` gives
             {"identities": ("",)},
@@ -810,8 +846,11 @@ class TestGrid:
             assert parallel.failed == serial.failed
             assert parallel.summary_table() == serial.summary_table()
             assert "results" not in vars(parallel)
-            # decoded when asked, the results are the serial ones
+            # decoded when asked, the results are the serial ones, and
+            # only a FAIL holds a residual
             assert parallel.results == serial.results
+            for r in parallel.results:
+                assert (r.residual is None) is (r.status is not Status.FAIL)
             assert parallel.to_dict() == serial.to_dict()
 
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
@@ -827,6 +866,21 @@ class TestGrid:
             serial = run_grid(cfg)
         assert serial.summary["FAIL"] > 0
         assert_same(serial, parallel)
+
+    def test_params_past_the_digit_limit(self, default_digit_limit, monkeypatch):
+        # k = 10**5000 is written in full in the header's config and in
+        # every row, serially and by the pool's workers alike
+        cfg = GridConfig(ks=(10**5000,), n_max=1, identities=("binet",))
+        serial = run_grid(cfg).to_json()
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MERSOCT_MAX_WORKERS", "2")
+        assert run_grid(cfg).to_json() == serial
+        # in the header's ks and in each of the 4 rows' params
+        assert serial.count("1" + "0" * 5000) == 1 + 4
+        with sequences._no_digit_limit():
+            doc = json.loads(serial)
+        assert doc["config"]["ks"] == [10**5000]
+        assert doc["summary"] == {"PASS": 4, "FAIL": 0, "SKIPPED": 0}
 
     def test_worker_count_is_clamped(self, monkeypatch):
         # a pool starts all its workers up front, so a huge request must
