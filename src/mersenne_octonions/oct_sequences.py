@@ -67,6 +67,8 @@ def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
 
 # Each bound is at least twice the most keys one command fills: the
 # default grid (oct_seq 490, _alpha_beta 6), a verify at n <= 120 (_lam_pow 362).
+# verify's caches keep the same rule: the default grid fills 1,632 of
+# _core's 4,096 keys, 292 of _j_factor's 1,024 and 19 of _frame's 64.
 # typed: True and 1.0 equal 1 as keys, and must not be served k = 1's constants
 @lru_cache(maxsize=16, typed=True)
 def _alpha_beta(k: int, split: bool) -> AlphaBeta:

@@ -26,6 +26,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import islice
 from operator import sub
+from typing import NamedTuple
 
 from . import __version__
 from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
@@ -61,7 +62,21 @@ class ConfigError(ValueError):
     """Malformed grid configuration, rejected before any evaluation."""
 
 
-_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _compact_encoder():
+    """Compact JSON with sorted keys, as JSONEncoder(sort_keys=True,
+    separators=(",", ":")).encode writes it.  JSONEncoder.encode builds
+    its C encoder anew on every call, so the C one is built here once.
+    It keeps no markers: the ids that an encoding cut short by a
+    ValueError left behind would make _encode's retry a "circular
+    reference"."""
+    if json.encoder.c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    encoder = json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii,
+                                          None, ":", ",", True, False, True)
+    return lambda obj: "".join(encoder(obj, 0))
+
+
+_compact = _compact_encoder()
 
 
 def _encode(obj) -> str:
@@ -74,8 +89,7 @@ def _encode(obj) -> str:
             return _compact(obj)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     identity: str
     family: Family
     params: dict
@@ -97,8 +111,24 @@ class CheckResult:
         }
 
     def to_json(self) -> str:
-        """The report row, as one line of compact JSON with sorted keys."""
-        return _encode(self.to_dict())
+        """The report row, as one line of compact JSON with sorted keys.
+        Only a FAIL row is encoded whole; any other is its params set in
+        the frame its other fields make."""
+        if self.status is Status.FAIL:
+            return _encode(self.to_dict())
+        head, tail = _frame(self.identity, self.family, self.note, self.status)
+        return head + _encode(self.params) + tail
+
+
+# bounded at over twice the 19 frames the default grid's rows make
+@lru_cache(maxsize=64)
+def _frame(identity, family, note, status) -> tuple:
+    """The text of a row without a residual, before and after its params:
+    the row with params {}, encoded and cut at them.  A '"' inside an
+    encoded string is escaped, so '"params":{}' is only the key's."""
+    row = CheckResult(identity, family, {}, status, note=note).to_dict()
+    head, _, tail = _compact(row).partition('"params":{}')
+    return head + '"params":', tail
 
 
 def _decode_rows(text: str) -> tuple:
@@ -210,8 +240,20 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 #     S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n _core(i, j).
 # Products taken in the reverse order are Vajda's identity in the
 # opposite algebra, where alpha beta and beta alpha trade places.  The
-# cache is bounded so that a long-lived process stays small; it holds
-# the 1,632 cores the default grid asks for.
+# caches are bounded so that a long-lived process stays small, each at
+# twice or more the keys one command fills: the default grid asks for
+# 1,632 cores, which share 292 j-factors.
+
+@lru_cache(maxsize=1024)
+def _j_factor(k: int, j: int, opposite: bool, specialized: bool) -> Octonion:
+    """beta alpha lam1^j - alpha beta lam2^j at the roots of
+    alpha_beta(k, specialized), with the products swapped if opposite is
+    set: the factor of _core that neither i nor the family changes."""
+    ab = alpha_beta(k, specialized)
+    p1, p2 = ab.powers(j)
+    x, y = (ab.ab, ab.ba) if opposite else (ab.ba, ab.ab)
+    return x.scale(p1) - y.scale(p2)
+
 
 @lru_cache(maxsize=4096)
 def _core(family: Family, k: int, i: int, j: int, opposite: bool,
@@ -221,9 +263,8 @@ def _core(family: Family, k: int, i: int, j: int, opposite: bool,
     alpha_beta(k, specialized), the Mersenne core is
     (beta alpha lam1^j - alpha beta lam2^j)(lam1^i - lam2^i)/(lam1 - lam2)^2."""
     ab = alpha_beta(k, specialized)
-    (p1, p2), (q1, q2) = ab.powers(j), ab.powers(i)
-    x, y = (ab.ab, ab.ba) if opposite else (ab.ba, ab.ab)
-    core = (x.scale(p1) - y.scale(p2)).scale(q1 - q2)
+    q1, q2 = ab.powers(i)
+    core = _j_factor(k, j, opposite, specialized).scale(q1 - q2)
     # the Lucas core is the same product negated, undivided
     if family is Family.MERSENNE:
         return project_rational(core, ab.disc)
@@ -493,11 +534,17 @@ def _evaluate_slice(job) -> tuple:
     return ",\n".join(rows), counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     results: tuple
     config: GridConfig
     discrepancies = DISCREPANCIES  # a class constant, not a field
+
+    # by value, so that a pool's _PoolReport equals its serial twin
+    def __eq__(self, other):
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return (self.config, self.results) == (other.config, other.results)
 
     @cached_property
     def _counts(self) -> Counter:

@@ -5,14 +5,19 @@ import contextlib
 import dataclasses
 import enum
 import hashlib
+import importlib
+import inspect
 import itertools
 import json
+import pkgutil
 import random
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mersenne_octonions
 from mersenne_octonions.octonion import (INDEX, SIGN, Octonion, active_basis_table,
                                          corrupted_basis_table, use_basis_table)
 from mersenne_octonions.sequences import Family, seq_value, seq_window
@@ -418,9 +423,9 @@ class TestRightSideCores:
         # measured from cold caches: the default grid, and a verify at
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
-        cold = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences._alpha_beta,
-                verify._core, verify._table_product]
-        bounded = cold[:3]
+        bounded = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences._alpha_beta,
+                   verify._j_factor]
+        cold = bounded + [verify._core, verify._table_product]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
                                              identities=("binet", "norm_closed", "cassini"))):
@@ -441,8 +446,9 @@ class TestRightSideCores:
                 assert products.misses <= 21_000
                 assert products.maxsize == 1024
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
-        # _alpha_beta: five general k plus the k = 1 split
-        assert needed == [490, 362, 6]
+        # _alpha_beta: five general k plus the k = 1 split; _j_factor: the
+        # cores' 292 distinct (k, j, opposite, specialized)
+        assert needed == [490, 362, 6, 292]
         for cache, n in zip(bounded, needed):
             assert cache.cache_info().maxsize >= 2 * n
         # oct_seq caches the same keys, so seq_window's own cache only missed
@@ -593,6 +599,91 @@ class TestCorruptedTable:
         assert report.summary == {"PASS": 534, "FAIL": 3444, "SKIPPED": 0}
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == "a68409338dc26b6538b4b77cf085e9ab99528a72533a4f54f8b053defce5014c"
+
+
+# Row text for the frame: JSON's specials, %, non-ASCII and controls.
+_row_text = st.text(st.one_of(st.sampled_from('%"\\{}:,\x00\n\x1f\x7f\u00e9\u20ac\U0001d11e'),
+                              st.characters()), max_size=12)
+
+
+class TestRowText:
+    # a row without a residual is written as its params in a cached
+    # frame; its text must still be its to_dict row, encoded
+
+    @staticmethod
+    def _assert_rows_are_their_dicts(results):
+        for r in results:
+            assert r.to_json() == verify._encode(r.to_dict()), r
+
+    def test_default_rows(self, default_report):
+        self._assert_rows_are_their_dicts(default_report.results)
+
+    def test_corrupted_product_rows(self):
+        cfg = GridConfig(ks=(1, 2), n_max=6,
+                         identities=("catalan", "cassini", "docagne", "vajda"))
+        with corrupted_basis_table():
+            report = run_grid(cfg)
+        assert {r.status for r in report.results} == {Status.PASS, Status.FAIL}
+        self._assert_rows_are_their_dicts(report.results)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_row_text, _row_text, st.sampled_from((M, ML)),
+           st.sampled_from((Status.PASS, Status.SKIPPED)),
+           st.dictionaries(_row_text, st.one_of(st.booleans(), _row_text, st.integers(),
+                                                st.just(10**5000)), max_size=4))
+    def test_any_text(self, default_digit_limit, identity, note, family, status, params):
+        row = CheckResult(identity, family, params, status, note=note)
+        self._assert_rows_are_their_dicts([row])
+        # and the text json.dumps writes, escaped to ASCII
+        with sequences._no_digit_limit():
+            expected = json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert row.to_json() == expected
+
+    def test_both_encoder_builds_write_the_same_text(self, default_digit_limit, monkeypatch):
+        # the C encoder built once, and JSONEncoder.encode where there is none
+        with corrupted_basis_table():
+            report = run_grid(GridConfig(ks=(1, 2), n_max=3, ij_max=1))
+        big = VerificationReport((CheckResult("binet", M, {"k": 10**5000, "n": 0},
+                                              Status.PASS, note='%"\\\x00\u00e9'),),
+                                 GridConfig(ks=(10**5000,)))
+        texts = [report.to_json(), big.to_json()]
+        assert not isinstance(getattr(verify._compact, "__self__", None), json.JSONEncoder)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        fallback = verify._compact_encoder()
+        assert isinstance(fallback.__self__, json.JSONEncoder)
+        monkeypatch.setattr(verify, "_compact", fallback)
+        verify._frame.cache_clear()
+        try:
+            assert [report.to_json(), big.to_json()] == texts
+        finally:
+            verify._frame.cache_clear()
+
+    def test_caches_are_bounded_and_at_most_half_full(self, monkeypatch):
+        # every lru_cache of the package has a bound, and a cold default
+        # run fills at most half of it; the left sides' product cache is
+        # exempt, as its comment explains
+        modules = [importlib.import_module(f"mersenne_octonions.{m.name}")
+                   for m in pkgutil.iter_modules(mersenne_octonions.__path__)]
+        caches = {f"{module.__name__}.{name}": fn for module in modules
+                  for name, fn in vars(module).items()
+                  if hasattr(fn, "cache_info") and fn.__module__ == module.__name__}
+        decorated = sum(re.subn(r"@(functools\.)?(lru_)?cache\b", "",
+                                inspect.getsource(module))[1] for module in modules)
+        assert len(caches) == decorated
+        for name, cache in caches.items():
+            assert cache.cache_info().maxsize is not None, name
+        assert sorted(name.rsplit(".", 1)[1] for name in caches) == [
+            "_alpha_beta", "_core", "_frame", "_j_factor", "_lam_pow", "_table_product",
+            "oct_seq"]
+        del caches["mersenne_octonions.verify._table_product"]
+        monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        for cache in caches.values():
+            cache.cache_clear()
+        run_grid().to_json()
+        for name, cache in caches.items():
+            info = cache.cache_info()
+            assert 0 < 2 * info.currsize <= info.maxsize, (name, info)
 
 
 class TestGrid:
@@ -847,8 +938,10 @@ class TestGrid:
             assert parallel.summary_table() == serial.summary_table()
             assert "results" not in vars(parallel)
             # decoded when asked, the results are the serial ones, and
-            # only a FAIL holds a residual
+            # only a FAIL holds a residual; so the two reports are equal
             assert parallel.results == serial.results
+            assert parallel == serial and serial == parallel
+            assert type(parallel) is not type(serial)
             for r in parallel.results:
                 assert (r.residual is None) is (r.status is not Status.FAIL)
             assert parallel.to_dict() == serial.to_dict()
