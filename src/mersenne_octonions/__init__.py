@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "quadratic": ("NonRationalError", "QuadElem", "RingMismatchError",
                   "discriminant", "lam", "one"),
-    "octonion": ("Octonion", "associator", "cd_mul"),
+    "octonion": ("Octonion", "cd_mul"),
     "sequences": ("Family", "seq_fast", "seq_value"),
     "oct_sequences": ("AlphaBeta", "alpha_beta", "oct_seq", "oct_seq_closed",
                       "oct_seq_conj", "oct_seq_norm_sq_closed", "seq_binet"),

@@ -41,6 +41,9 @@ _FAMILIES = {
 # which a range this long does not (its MemoryError exits 2 in main)
 _RANGE_MAX = sys.maxsize
 
+# bench times each evaluator this many times at most per (k, n)
+_REPEAT_MAX = 1000
+
 
 def _parse_range(spec: str, what: str, lo: int) -> range:
     """Parse 'A..B' or a single integer into an inclusive range within
@@ -180,8 +183,8 @@ def cmd_bench(args) -> int:
         raise SystemExit2(f"invalid bench n values: {args.n_values!r}")
     if any(n < 0 or n > _RANGE_MAX for n in ns):
         raise SystemExit2(f"bench n values must lie in 0..{_RANGE_MAX}")
-    if args.repeat < 1:
-        raise SystemExit2(f"--repeat must be at least 1, got {args.repeat}")
+    if not 1 <= args.repeat <= _REPEAT_MAX:
+        raise SystemExit2(f"--repeat must lie in 1..{_REPEAT_MAX}, got {args.repeat}")
     with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["k", "n", "method", "nanoseconds", "digits"])
@@ -244,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--n-values", default="1000,10000",
                     help="comma-separated n values")
-    sp.add_argument("--repeat", type=int, default=3)
+    sp.add_argument("--repeat", type=int, default=3,
+                    help=f"timed runs per evaluator, 1..{_REPEAT_MAX}")
     sp.set_defaults(fn=cmd_bench)
 
     return p

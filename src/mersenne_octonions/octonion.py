@@ -15,9 +15,9 @@ Scalars may be int or QuadElem; any ring with exact +, -, * works,
 since octonion multiplication is the bilinear extension of the basis
 table.  That extension is compiled from the sign and index arrays
 into eight straight-line sums of products of coordinates, with no
-per-term table lookups.  Products are taken with the compiled function
-on top of a stack; the mutation test hook pushes one compiled from its
-corrupted table, so that table is exercised by the same code.
+per-term table lookups.  Products are taken with the one compiled
+function in force; the mutation test hook swaps in one compiled from
+its corrupted table, so that table is exercised by the same code.
 """
 
 from __future__ import annotations
@@ -86,28 +86,28 @@ def _compile_product(table: tuple):
     return product
 
 
-# The compiled product in force is the last one.  Only the mutation
-# test hook ever pushes another, and run_grid hands its table to every
-# pool worker it starts.
-_products = [_compile_product((SIGN, INDEX))]
+# The compiled product in force; only the mutation test hook swaps in
+# another, and run_grid hands its table to every pool worker it starts.
+_product = _compile_product((SIGN, INDEX))
 
 
 def _active_product():
     """The compiled product in force: its identity keys caches of table
     products, so that each table gets its own entries."""
-    return _products[-1]
+    return _product
 
 
 def active_basis_table() -> tuple:
     """The (sign, index) basis table products currently use."""
-    return _active_product().table
+    return _product.table
 
 
 def use_basis_table(table: tuple) -> None:
-    """Compile table in place of the top of the stack (the pool
-    initializer that carries the parent's table into a worker); a
-    mutation hook that is on still pops back to the entries below."""
-    _products[-1] = _compile_product(table)
+    """Compile table and put it in force (the pool initializer that
+    carries the parent's table into a worker); a mutation hook that is
+    on still restores the product it replaced when it exits."""
+    global _product
+    _product = _compile_product(table)
 
 
 def _check_basis_index(*indices):
@@ -125,14 +125,15 @@ def corrupted_basis_table(i: int = 1, j: int = 2):
     Used to demonstrate that the verifier actually detects a wrong
     multiplication table.  Never nest with concurrent verification.
     """
+    global _product
     _check_basis_index(i, j)
     sign = [list(row) for row in SIGN]
     sign[i][j] = -sign[i][j]
-    _products.append(_compile_product((tuple(tuple(r) for r in sign), INDEX)))
+    saved, _product = _product, _compile_product((tuple(tuple(r) for r in sign), INDEX))
     try:
         yield
     finally:
-        _products.pop()
+        _product = saved  # the same object, so caches keyed by it stay valid
 
 
 _setattr = object.__setattr__
@@ -169,10 +170,6 @@ class Octonion:
         c[r] = scale
         return cls(tuple(c))
 
-    @classmethod
-    def zero(cls) -> "Octonion":
-        return cls((0,) * 8)
-
     def __add__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
@@ -189,7 +186,7 @@ class Octonion:
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return _new(_products[-1](self.coords, other.coords))
+        return _new(_product(self.coords, other.coords))
 
     def scale(self, s) -> "Octonion":
         """Multiply every coordinate by the scalar s."""
@@ -208,20 +205,11 @@ class Octonion:
         """
         return sum(x * x for x in self.coords)
 
-    def is_zero(self) -> bool:
-        return self.coords.count(0) == 8
-
     def map_coords(self, f) -> "Octonion":
         return _new(tuple(map(f, self.coords)))
 
     def __repr__(self):
         return f"Octonion(coords=({', '.join(map(decimal_str, self.coords))}))"
-
-
-def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
-    """(ab)c - a(bc); nonzero in general, zero when two arguments
-    coincide (alternativity)."""
-    return (a * b) * c - a * (b * c)
 
 
 def _qmul(p, q):

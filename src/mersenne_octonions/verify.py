@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
-from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_norm_sq_closed,
-                            project_rational)
+from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_conj,
+                            oct_seq_norm_sq_closed, project_rational)
 from .sequences import Family, _no_digit_limit, decimal_repr, decimal_str
 
 DISCREPANCIES = (
@@ -223,13 +223,12 @@ def check_binet(family: Family, k: int, n: int,
 
 @_identity(lambda cfg: ({"k": k, "n": n} for k in cfg.ks for n in range(cfg.n_max + 1)))
 def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
-    """Direct sum of squared coordinates against the closed-form
-    squared norm; the scalar residual is reported in the e0 slot."""
+    """S times its conjugate, by the table in force, against the
+    closed-form squared norm in the e0 slot."""
     _check_common(family, k, False, n=n)
-    direct = oct_seq(family, k, n).norm_sq()
+    lhs = (oct_seq(family, k, n) * oct_seq_conj(family, k, n)).coords
     closed = oct_seq_norm_sq_closed(family, k, n)
-    return _result("norm_closed", family, {"k": k, "n": n},
-                   (direct,) + (0,) * 7, (closed,) + (0,) * 7)
+    return _result("norm_closed", family, {"k": k, "n": n}, lhs, (closed,) + (0,) * 7)
 
 
 # --- Catalan, Cassini, d'Ocagne and Vajda ----------------------------

@@ -402,10 +402,22 @@ class TestBench:
         assert code == 2
         assert "error" in err and out == ""
 
-    def test_zero_repeat_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "bench", "--repeat", "0")
-        assert code == 2
-        assert "error" in err and out == ""
+    def test_zero_repeat_rejected(self, capsys, monkeypatch):
+        # and a repeat past the cap, refused before anything is timed
+        from mersenne_octonions import cli
+
+        monkeypatch.setattr(cli, "_timed", None)
+        for repeat in (0, cli._REPEAT_MAX + 1):
+            code, out, err = run_cli(capsys, "bench", "--repeat", str(repeat))
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+
+    def test_repeat_cap_accepted(self, capsys):
+        from mersenne_octonions import cli
+
+        code, out, _ = run_cli(capsys, "bench", "--k", "1", "--n-values", "5",
+                               "--repeat", str(cli._REPEAT_MAX))
+        assert code == 0 and len(out.splitlines()) == 3
 
 
 def terms(x0, x1, k, n_lo, n_hi):

@@ -14,7 +14,6 @@ from mersenne_octonions.octonion import (
     SIGN,
     Octonion,
     active_basis_table,
-    associator,
     cd_mul,
     corrupted_basis_table,
     use_basis_table,
@@ -141,7 +140,7 @@ class TestConjugationAndNorm:
         assert x.norm_sq() == 21343 == 21845 - 510 + 8
 
     def test_norm_of_zero(self):
-        assert Octonion.zero().norm_sq() == 0
+        assert Octonion((0,) * 8).norm_sq() == 0
 
     def test_times_conj_gives_norm(self):
         rnd = random.Random(11)
@@ -168,20 +167,24 @@ class TestConjugationAndNorm:
 
 
 class TestAssociativityStructure:
+    """The associator (ab)c - a(bc) of the table's product: nonzero in
+    general, zero when two arguments coincide (alternativity)."""
+
     def test_associator_witness(self):
         e = Octonion.basis
         assert (e(1) * e(2)) * e(4) == e(7)
         assert e(1) * (e(2) * e(4)) == -e(7)
-        assert associator(e(1), e(2), e(4)) == e(7, 2)
+        assert (e(1) * e(2)) * e(4) - e(1) * (e(2) * e(4)) == e(7, 2)
 
     def test_quaternion_subalgebra_associates(self):
         e = Octonion.basis
-        assert associator(e(1), e(2), e(3)).is_zero()
+        assert (e(1) * e(2)) * e(3) - e(1) * (e(2) * e(3)) == Octonion((0,) * 8)
 
     @given(octonions, octonions)
     def test_alternativity(self, a, b):
-        assert associator(a, a, b).is_zero()
-        assert associator(b, a, a).is_zero()
+        zero = Octonion((0,) * 8)
+        assert (a * a) * b - a * (a * b) == zero
+        assert (b * a) * a - b * (a * a) == zero
 
 
 class TestScalarRings:
@@ -299,40 +302,61 @@ class TestCorruptionHook:
                              ids=["sign 2", "sign 0", "sign -2", "sign True",
                                   "repeated index"])
     def test_malformed_table_refused(self, monkeypatch, entry):
-        monkeypatch.setattr(octonion, "_products", list(octonion._products))
+        monkeypatch.setattr(octonion, "_product", octonion._product)
         sign = [list(row) for row in SIGN]
         index = [list(row) for row in INDEX]
         # e1 * e2 = +e3; row 1 already holds e4, at e1 * e4
         sign[1][2], index[1][2] = entry
         table = (tuple(map(tuple, sign)), tuple(map(tuple, index)))
-        stack = list(octonion._products)
+        in_force = octonion._active_product()
         with pytest.raises(ValueError, match="basis sign|index row"):
             use_basis_table(table)
-        assert octonion._products == stack
+        assert octonion._active_product() is in_force
         # and so is a table without 8 rows
         with pytest.raises(ValueError, match="8 rows"):
             use_basis_table((table[0][:7], table[1][:7]))
-        assert octonion._products == stack
+        assert octonion._active_product() is in_force
 
     def test_flips_one_product_and_restores(self):
         e1, e2 = Octonion.basis(1), Octonion.basis(2)
+        in_force = octonion._active_product()
         assert e1 * e2 == Octonion.basis(3)
         with corrupted_basis_table(1, 2):
+            assert octonion._active_product() is not in_force
             assert e1 * e2 == Octonion.basis(3, -1)
+        # the very object it replaced, not a recompile of its table
+        assert octonion._active_product() is in_force
         assert e1 * e2 == Octonion.basis(3)
 
     def test_worker_initializer_inside_the_hook(self, monkeypatch):
-        # the pool initializer replaces only the top of the stack, so the
-        # hook still pops back to the true table
-        monkeypatch.setattr(octonion, "_products", list(octonion._products))
+        # the pool initializer puts a product in force, and the hook
+        # still restores the one it replaced
+        monkeypatch.setattr(octonion, "_product", octonion._product)
         e1, e2 = Octonion.basis(1), Octonion.basis(2)
+        in_force = octonion._active_product()
         with corrupted_basis_table(1, 2):
             use_basis_table(active_basis_table())
             assert e1 * e2 == Octonion.basis(3, -1)
+        assert octonion._active_product() is in_force
         assert e1 * e2 == Octonion.basis(3)
-        # and a fresh worker's one-entry stack ends with only the given table
+        # and a fresh worker's product is compiled from the given table
         use_basis_table(active_basis_table())
-        assert len(octonion._products) == 1
+        assert octonion._active_product() is not in_force
+        assert active_basis_table() == (SIGN, INDEX)
+
+    def test_nested_hooks_restore_in_turn(self):
+        e1, e2, e3 = Octonion.basis(1), Octonion.basis(2), Octonion.basis(3)
+        outer = octonion._active_product()
+        with corrupted_basis_table(1, 2):
+            middle = octonion._active_product()
+            with corrupted_basis_table(2, 3):
+                # each hook flips the true table, so only the inner flip shows
+                assert e1 * e2 == Octonion.basis(3)
+                assert e2 * e3 == Octonion.basis(1, -1)
+            assert octonion._active_product() is middle
+            assert e1 * e2 == Octonion.basis(3, -1)
+            assert e2 * e3 == Octonion.basis(1)
+        assert octonion._active_product() is outer
 
     # -1 would count from the end (e7), True would be e1 and 8 an
     # IndexError; each must be a ValueError
@@ -340,9 +364,9 @@ class TestCorruptionHook:
     def test_out_of_range_basis_index_rejected(self, bad):
         with pytest.raises(ValueError, match="basis index"):
             Octonion.basis(bad)
-        stack = list(octonion._products)
+        in_force = octonion._active_product()
         for i, j in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match="basis index"):
                 with corrupted_basis_table(i, j):
                     pass
-            assert octonion._products == stack
+            assert octonion._active_product() is in_force

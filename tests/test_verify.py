@@ -21,7 +21,7 @@ import mersenne_octonions
 from mersenne_octonions.octonion import (INDEX, SIGN, Octonion, active_basis_table,
                                          corrupted_basis_table, use_basis_table)
 from mersenne_octonions.sequences import Family, seq_value, seq_window
-from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed
+from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed, oct_seq_conj
 from mersenne_octonions.quadratic import QuadElem
 from mersenne_octonions import oct_sequences, sequences, verify
 from mersenne_octonions.verify import (
@@ -365,6 +365,61 @@ class TestOtherChecks:
             check_binet(M, 2, 3, specialized=True)
 
 
+class TestLedger:
+    """Each DISCREPANCIES entry quotes a stated form: evaluated here, it
+    fails exactly where the entry says, while the derived form passes."""
+
+    def test_stated_conjugate(self):
+        # real part S[0] where the conjugation rule puts S[n]: S times it
+        # is |S|^2 e0 only at n = 0, where the two real parts coincide
+        assert "index-0" in verify.DISCREPANCIES[0]
+        points = [(family, k, n) for family in (M, ML) for k in (1, 2) for n in range(6)]
+        failed = set()
+        for family, k, n in points:
+            s, conj = oct_seq(family, k, n), oct_seq_conj(family, k, n)
+            norm = Octonion.basis(0, s.norm_sq())
+            assert s * conj == norm
+            assert check_norm_closed(family, k, n).status is Status.PASS
+            stated = Octonion((seq_value(family, k, 0), *conj.coords[1:]))
+            if s * stated != norm:
+                failed.add((family, k, n))
+        assert failed == {(family, k, n) for family, k, n in points if n > 0}
+        assert len(failed) == 20
+
+    def test_stated_mersenne_denominator(self):
+        # (S0 + x(S1 - 3k S0)) / (1 - c x + 2x^2): the derivation's c = 3k
+        # gives the sequence at every k, the stated c = 3 only at k = 1
+        def expand(k, c, terms=32):
+            s0, s1 = oct_seq(M, k, 0), oct_seq(M, k, 1)
+            coeffs = [s0, s0.scale(c) + s1 - s0.scale(3 * k)]
+            while len(coeffs) < terms:
+                coeffs.append(coeffs[-1].scale(c) - coeffs[-2].scale(2))
+            return coeffs
+
+        assert "1 - 3x + 2x^2" in verify.DISCREPANCIES[1]
+        for k in (1, 2, 3):
+            sequence = [oct_seq(M, k, n) for n in range(32)]
+            assert expand(k, 3 * k) == sequence
+            assert check_genfunc_ordinary(M, k, 32).status is Status.PASS
+            assert (expand(k, 3) == sequence) is (k == 1), k
+
+    def test_stated_lucas_cassini_prefactor(self):
+        # the k = 1 Lucas Cassini left side is 2^(n-1) times the core,
+        # never the stated 2^n times it
+        assert "stated prefactor is 2^n" in verify.DISCREPANCIES[2]
+        failed = 0
+        for n in range(1, 21):
+            for ordering in ("lr", "rl"):
+                a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
+                s = {m: oct_seq(ML, 1, m) for m in (n - 1, n, n + 1)}
+                lhs = s[a] * s[b] - s[n] * s[n]
+                core = verify._core(ML, 1, 1, 1, ordering == "lr", True)
+                assert lhs == core.scale(-(2 ** (n - 1)))
+                assert check_cassini(ML, 1, n, ordering, specialized=True).status is Status.PASS
+                failed += lhs != core.scale(-(2 ** n))
+        assert failed == 40
+
+
 class TestRightSideCores:
     def test_core_is_int(self):
         # the folded scalar is the recurrence's M[k,i]: the core at i is
@@ -491,7 +546,7 @@ class TestCorruptedTable:
         with corrupted_basis_table():
             res = check_catalan(M, 2, 4, 2, "lr")
         assert res.status is Status.FAIL
-        assert not res.residual.is_zero()
+        assert any(res.residual.coords)
 
     # (check, its arguments after family and k, the left side's a, b, c,
     # d in S[a]S[b] - S[c]S[d]); Catalan with r = 1 in "lr" order, which
@@ -539,16 +594,16 @@ class TestCorruptedTable:
             use_basis_table((SIGN, INDEX))
 
     def test_every_sign_flip_fails_the_product_identities(self):
-        # Binet, norm, the generating function and the finite sum take
-        # no octonion product, so they cannot see the table; the product
-        # identities must fail in the general pass and in the k = 1 split,
-        # under each of the 64 sign flips and each of the 8 * 28 swaps of
-        # two indices within a row (a single redirected index does not
-        # compile)
+        # Binet, the generating function and the finite sum take no
+        # octonion product, so they cannot see the table; the norm, taken
+        # as S times its conjugate, and the product identities (in the
+        # general pass and in the k = 1 split) must fail under each of
+        # the 64 sign flips and each of the 8 * 28 swaps of two indices
+        # within a row (a single redirected index does not compile)
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         assert len(list(verify._grid_points(cfg))) == 380
         expected = {(name, sp) for name in ("catalan", "cassini", "docagne", "vajda")
-                    for sp in (False, True)}
+                    for sp in (False, True)} | {("norm_closed", None)}
         mutants = [(corrupted_basis_table, (i, j)) for i in range(8) for j in range(8)]
         mutants += [(self._index_swapped, (i, *pair)) for i in range(8)
                     for pair in itertools.combinations(range(8), 2)]
