@@ -8,10 +8,8 @@ sequence at index n+r.  Closed forms use the constant octonions
 which live over the quadratic ring and do not commute.  Every closed
 form is computed there and only then dropped to integer coordinates
 by one helper, _exact; a non-integer after reduction means a bug, not
-bad input.  At k = 1 the same forms also run at the split lam1 = 2,
-lam2 = 1, where every coordinate is an int throughout.  Both alpha and
-beta have e0 coordinate 1, so coordinate e0 of the octonion closed form
-is the scalar Binet form, seq_binet.
+bad input.  Both alpha and beta have e0 coordinate 1, so coordinate e0
+of the octonion closed form is the scalar Binet form, seq_binet.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from functools import lru_cache
 
 from .octonion import Octonion, cd_mul
 from .quadratic import QuadElem, discriminant, lam
-from .sequences import Family, _check_params, decimal_repr, decimal_str, seq_window
+from .sequences import Family, _check_params, decimal_str, seq_window
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -34,8 +32,8 @@ class AlphaBeta:
     sum_r lam1^r e_r, beta = sum_r lam2^r e_r, their products
     ab = alpha beta and ba = beta alpha, which differ, and their norms."""
 
-    lam1: QuadElem | int
-    lam2: QuadElem | int
+    lam1: QuadElem
+    lam2: QuadElem
     disc: int  # (lam1 - lam2)^2
     alpha: Octonion
     beta: Octonion
@@ -44,42 +42,30 @@ class AlphaBeta:
     norms: tuple  # (|alpha|^2, |beta|^2) = (sum_r lam1^(2r), sum_r lam2^(2r))
 
     def powers(self, e: int) -> tuple:
-        """(lam1^e, lam2^e); the ring's come from one cached power."""
-        if isinstance(self.lam1, int):
-            return self.lam1**e, self.lam2**e
+        """(lam1^e, lam2^e), from one cached power."""
         p = _lam_pow(self.lam1.k, e)
         return p, p.conj()
 
 
-def alpha_beta(k: int, split: bool = False) -> AlphaBeta:
-    """alpha and beta at the roots L, 3k - L of the quotient ring, or at
-    2, 1 under the k = 1 split, the ring's image in Q under L -> 2.
+# Each bound is at least twice the most keys one command fills: the
+# default grid (oct_seq 490, alpha_beta 5), a verify at n <= 120 (_lam_pow 362).
+# verify's caches keep the same rule: the default grid fills 1,380 of
+# _core's 4,096 keys, 250 of _j_factor's 1,024 and 19 of _frame's 64.
+# typed: True and 1.0 equal 1 as keys, and must not be served k = 1's
+# constants; QuadElem refuses them.  k is positional, one key per k.
+@lru_cache(maxsize=16, typed=True)
+def alpha_beta(k: int, /) -> AlphaBeta:
+    """alpha and beta at the roots L, 3k - L of the quotient ring.
 
     The products are taken through the Cayley-Dickson oracle, not the
     stored basis table, so the right side of every identity is computed
     on a code path fully independent of the table data the left side
     exercises."""
-    # before the cache: 1 and "yes" would each get an entry, [1] no hash
-    if type(split) is not bool:
-        raise ValueError(f"split must be a bool, got {decimal_repr(split)}")
-    return _alpha_beta(k, split)  # positional: one cache key per (k, split)
-
-
-# Each bound is at least twice the most keys one command fills: the
-# default grid (oct_seq 490, _alpha_beta 6), a verify at n <= 120 (_lam_pow 362).
-# verify's caches keep the same rule: the default grid fills 1,632 of
-# _core's 4,096 keys, 292 of _j_factor's 1,024 and 19 of _frame's 64.
-# typed: True and 1.0 equal 1 as keys, and must not be served k = 1's constants
-@lru_cache(maxsize=16, typed=True)
-def _alpha_beta(k: int, split: bool) -> AlphaBeta:
-    if split and (type(k) is not int or k != 1):
-        raise ValueError("the split lam1 = 2, lam2 = 1 holds only at k = 1, "
-                         f"got k={decimal_repr(k)}")
-    lam1, lam2, disc = (2, 1, 1) if split else (lam(k), lam(k).conj(), discriminant(k))
+    lam1, lam2 = lam(k), lam(k).conj()
     alpha = Octonion(tuple(lam1**r for r in range(8)))
     beta = Octonion(tuple(lam2**r for r in range(8)))
-    return AlphaBeta(lam1, lam2, disc, alpha, beta, cd_mul(alpha, beta), cd_mul(beta, alpha),
-                     (alpha.norm_sq(), beta.norm_sq()))
+    return AlphaBeta(lam1, lam2, discriminant(k), alpha, beta, cd_mul(alpha, beta),
+                     cd_mul(beta, alpha), (alpha.norm_sq(), beta.norm_sq()))
 
 
 # typed: True and 3.0 equal 1 and 3 as keys, and must reach the checks
@@ -118,12 +104,12 @@ def _lam_pow(k: int, e: int) -> QuadElem:
     return lam(k) ** e
 
 
-def oct_seq_closed(family: Family, k: int, n: int, split: bool = False) -> Octonion:
-    """Closed form at the roots of alpha_beta(k, split):
+def oct_seq_closed(family: Family, k: int, n: int) -> Octonion:
+    """Closed form at the roots of alpha_beta(k):
     (alpha lam1^n - beta lam2^n)/(lam1 - lam2) for the Mersenne family,
     alpha lam1^n + beta lam2^n for the Lucas family."""
     _check_params(k, n)
-    ab = alpha_beta(k, split)
+    ab = alpha_beta(k)
     p1, p2 = ab.powers(n)
     if Family(family) is Family.MERSENNE:
         # over lam1 - lam2 as a product with it, then exactly over disc

@@ -167,7 +167,7 @@ def _check_common(family, k: int, specialized: bool, **counts):
     if min(counts.values()) < 0:
         got = ", ".join(f"{name}={decimal_str(value)}" for name, value in counts.items())
         raise ParamError(f"need {', '.join(counts)} >= 0, got {got}")
-    # specialized keys the right-side caches, so it must be hashable
+    # specialized is written into the row, so it must be a bool
     if type(specialized) is not bool:
         raise ParamError(f"specialized must be a bool, got {decimal_repr(specialized)}")
     if specialized and k != 1:
@@ -216,7 +216,7 @@ def check_binet(family: Family, k: int, n: int,
     """Defining recurrence octonion against the closed form."""
     _check_common(family, k, specialized, n=n)
     lhs = oct_seq(family, k, n)
-    rhs = oct_seq_closed(family, k, n, specialized)
+    rhs = oct_seq_closed(family, k, n)
     params = {"k": k, "n": n, "specialized": specialized}
     return _result("binet", family, params, lhs.coords, rhs.coords)
 
@@ -241,29 +241,28 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 # opposite algebra, where alpha beta and beta alpha trade places.  The
 # caches are bounded so that a long-lived process stays small, each at
 # twice or more the keys one command fills: the default grid asks for
-# 1,632 cores, which share 292 j-factors.
+# 1,380 cores, which share 250 j-factors.
 
 @lru_cache(maxsize=1024)
-def _j_factor(k: int, j: int, opposite: bool, specialized: bool) -> Octonion:
+def _j_factor(k: int, j: int, opposite: bool) -> Octonion:
     """beta alpha lam1^j - alpha beta lam2^j at the roots of
-    alpha_beta(k, specialized), with the products swapped if opposite is
-    set: the factor of _core that neither i nor the family changes."""
-    ab = alpha_beta(k, specialized)
+    alpha_beta(k), with the products swapped if opposite is set: the
+    factor of _core that neither i nor the family changes."""
+    ab = alpha_beta(k)
     p1, p2 = ab.powers(j)
     x, y = (ab.ab, ab.ba) if opposite else (ab.ba, ab.ab)
     return x.scale(p1) - y.scale(p2)
 
 
 @lru_cache(maxsize=4096)
-def _core(family: Family, k: int, i: int, j: int, opposite: bool,
-          specialized: bool) -> Octonion:
+def _core(family: Family, k: int, i: int, j: int, opposite: bool) -> Octonion:
     """Vajda's right side with 2^n stripped, in the opposite algebra if
     opposite is set; always integer-coordinated.  At the roots of
-    alpha_beta(k, specialized), the Mersenne core is
+    alpha_beta(k), the Mersenne core is
     (beta alpha lam1^j - alpha beta lam2^j)(lam1^i - lam2^i)/(lam1 - lam2)^2."""
-    ab = alpha_beta(k, specialized)
+    ab = alpha_beta(k)
     q1, q2 = ab.powers(i)
-    core = _j_factor(k, j, opposite, specialized).scale(q1 - q2)
+    core = _j_factor(k, j, opposite).scale(q1 - q2)
     # the Lucas core is the same product negated, undivided
     if family is Family.MERSENNE:
         return project_rational(core, ab.disc)
@@ -313,7 +312,7 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
     # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
     return _vajda_form("catalan", family, k, params, (a, b, n, n),
-                       (r, r, ordering == "lr", specialized), -(2 ** (n - r)))
+                       (r, r, ordering == "lr"), -(2 ** (n - r)))
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "ordering": o, "specialized": sp}
@@ -340,7 +339,7 @@ def check_cassini(family: Family, k: int, n: int,
         note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
     params = {"k": k, "n": n, "ordering": ordering, "specialized": specialized}
     return _vajda_form("cassini", family, k, params, (a, b, n, n),
-                       (1, 1, ordering == "lr", specialized), -(2 ** (n - 1)), note)
+                       (1, 1, ordering == "lr"), -(2 ** (n - 1)), note)
 
 
 @_identity(lambda cfg: ({"k": k, "n": n, "r": r, "specialized": sp}
@@ -351,9 +350,9 @@ def check_docagne(family: Family, k: int, n: int, r: int,
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
     _check_common(family, k, specialized, n=n, r=r)
     if r <= n:  # Vajda at (r, 1, n - r), negated
-        core, s = (1, n - r, False, specialized), -(2**r)
+        core, s = (1, n - r, False), -(2**r)
     else:  # Vajda at (n, 1, r - n) in the opposite algebra
-        core, s = (1, r - n, True, specialized), 2**n
+        core, s = (1, r - n, True), 2**n
     params = {"k": k, "n": n, "r": r, "specialized": specialized}
     return _vajda_form("docagne", family, k, params, (r, n + 1, r + 1, n), core, s)
 
@@ -367,7 +366,7 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
     _check_common(family, k, specialized, n=n, i=i, j=j)
     params = {"k": k, "n": n, "i": i, "j": j, "specialized": specialized}
     return _vajda_form("vajda", family, k, params, (n + i, n + j, n, n + i + j),
-                       (i, j, False, specialized), 2**n)
+                       (i, j, False), 2**n)
 
 
 # --- Generating function and finite sum ------------------------------
@@ -415,8 +414,8 @@ def check_finite_sum(family: Family, k: int, n: int,
     nonzero, it is checked multiplied through: 3(1-k) times the sum
     against the formula's numerator.  Both sides stay integers, and a
     FAIL residual is 3(1-k) times the stated form's.  At k=1 the
-    specialized form S[n+1] - (alpha +- n*beta) applies, with alpha,
-    beta at the split lam1=2, lam2=1.
+    specialized form S[n+1] - (alpha +- n*beta) applies, with alpha and
+    beta at the roots 2, 1: coordinate r of the tail is 2^r +- n.
     """
     _check_common(family, k, form == "specialized", n=n)
     if form not in ("auto", "general", "specialized"):
@@ -441,9 +440,8 @@ def check_finite_sum(family: Family, k: int, n: int,
             + oct_seq(family, k, 0).scale(1 - 3 * k)
         )
     else:
-        ab = alpha_beta(1, True)
-        tail = ab.alpha + ab.beta.scale(n if family is Family.MERSENNE else -n)
-        rhs = oct_seq(family, k, n + 1) - tail
+        m = n if family is Family.MERSENNE else -n
+        rhs = oct_seq(family, k, n + 1) - Octonion(tuple(2**r + m for r in range(8)))
     return _result("finite_sum", family, params, lhs.coords, rhs.coords)
 
 

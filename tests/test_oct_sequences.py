@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mersenne_octonions import oct_sequences
-from mersenne_octonions.octonion import Octonion
+from mersenne_octonions.octonion import Octonion, cd_mul
 from mersenne_octonions.oct_sequences import (
     InternalInconsistencyError,
     alpha_beta,
@@ -92,45 +92,45 @@ class TestAlphaBeta:
         assert ab.alpha * ab.beta != ab.beta * ab.alpha
 
     def test_evaluated_k1(self):
-        ab = alpha_beta(1, split=True)
-        assert ab.alpha.coords == (1, 2, 4, 8, 16, 32, 64, 128)
-        assert ab.beta.coords == (1,) * 8
-        diff = ab.alpha - ab.beta
-        assert diff.coords == (0, 1, 3, 7, 15, 31, 63, 127)
+        # under L -> 2, a ring map at k = 1, alpha_beta(1) is the printed
+        # alpha_2 = sum_r 2^r e_r and beta_2 = sum_r e_r, and the closed
+        # forms are the printed 2^n alpha_2 -+ beta_2
+        alpha2, beta2 = Octonion(tuple(2**r for r in range(8))), Octonion((1,) * 8)
 
-    def test_split_needs_k1(self):
-        with pytest.raises(ValueError):
-            alpha_beta(2, split=True)
+        def at_two(x):
+            return x.map_coords(lambda q: q.a + 2 * q.b)
 
-    @pytest.mark.parametrize("split", [1, "yes", [1]], ids=["int", "str", "list"])
-    def test_split_must_be_a_bool(self, split):
-        # rejected before the cache, which would hold one entry per spelling
-        size = oct_sequences._alpha_beta.cache_info().currsize
-        with pytest.raises(ValueError, match="split must be a bool"):
-            alpha_beta(1, split)
-        with pytest.raises(ValueError, match="split must be a bool"):
-            oct_seq_closed(M, 1, 3, split=split)
-        assert oct_sequences._alpha_beta.cache_info().currsize == size
+        ab = alpha_beta(1)
+        assert at_two(ab.alpha) == alpha2 and at_two(ab.beta) == beta2
+        assert at_two(ab.ab) == cd_mul(alpha2, beta2)
+        assert at_two(ab.ba) == cd_mul(beta2, alpha2)
+        for n in range(41):
+            for family, sign in (M, -1), (ML, 1):
+                printed = alpha2.scale(2**n) + beta2.scale(sign)
+                assert oct_seq(family, 1, n) == oct_seq_closed(family, 1, n) == printed
 
-    def test_one_value_per_k_and_split(self):
-        # however the call spells split, it is one cache entry
-        assert alpha_beta(2) is alpha_beta(2, False) is alpha_beta(2, split=False)
-        assert alpha_beta(1, True) is alpha_beta(1, split=True)
+    def test_one_value_per_k(self):
+        # k is positional, so a call has one spelling and one cache entry
+        assert alpha_beta(2) is alpha_beta(2)
+        size = alpha_beta.cache_info().currsize
+        with pytest.raises(TypeError):
+            alpha_beta(k=2)
+        assert alpha_beta.cache_info().currsize == size
 
     def test_k_equal_to_1_is_not_served_k1(self, run_fresh):
-        # in a fresh interpreter, so that the k = 1 entries are known to
-        # be cached before True and 1.0, which equal 1 as keys, are asked
+        # in a fresh interpreter, so that the k = 1 entry is known to be
+        # cached before True and 1.0, which equal 1 as keys, are asked
         proc = run_fresh("""
             from mersenne_octonions.oct_sequences import alpha_beta
 
-            alpha_beta(1), alpha_beta(1, True)
-            for k, split in (True, False), (1.0, False), (True, True), (1.0, True):
+            alpha_beta(1)
+            for k in True, 1.0:
                 try:
-                    alpha_beta(k, split)
+                    alpha_beta(k)
                 except ValueError:
                     pass
                 else:
-                    raise AssertionError(f"alpha_beta({k!r}, {split}) was served k = 1")
+                    raise AssertionError(f"alpha_beta({k!r}) was served k = 1")
         """)
         assert proc.returncode == 0, proc.stderr
 
@@ -155,11 +155,10 @@ class TestClosedForm:
             assert oct_seq_closed(family, k, n) == oct_seq(family, k, n)
 
     @pytest.mark.parametrize("family", [M, ML])
-    @pytest.mark.parametrize("split", [False, True])
-    def test_negative_n_is_bad_input(self, family, split):
+    def test_negative_n_is_bad_input(self, family):
         # an input error, not an InternalInconsistencyError from the drop
         with pytest.raises(ValueError, match="n must be nonnegative"):
-            oct_seq_closed(family, 1, -1, split)
+            oct_seq_closed(family, 1, -1)
 
 
 class TestProjectRational:

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mersenne_octonions
-from mersenne_octonions.octonion import (INDEX, SIGN, Octonion, active_basis_table,
+from mersenne_octonions.octonion import (INDEX, SIGN, Octonion, active_basis_table, cd_mul,
                                          corrupted_basis_table, use_basis_table)
 from mersenne_octonions.sequences import Family, seq_value, seq_window
-from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_closed, oct_seq_conj
+from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_conj
 from mersenne_octonions.quadratic import QuadElem
 from mersenne_octonions import oct_sequences, sequences, verify
 from mersenne_octonions.verify import (
@@ -328,13 +328,10 @@ class TestMessagesPastTheDigitLimit:
         (lambda: QuadElem(-_BIG, 0, 0), ValueError,
          f"k must be a positive integer, got -{_DIGITS}"),
         (lambda: QuadElem(2, _BIG, 1.5), TypeError, f"coordinates must be ints, got {_DIGITS}, 1.5"),
-        (lambda: alpha_beta(1, _BIG), ValueError, f"split must be a bool, got {_DIGITS}"),
-        (lambda: alpha_beta(_BIG, True), ValueError,
-         f"the split lam1 = 2, lam2 = 1 holds only at k = 1, got k={_DIGITS}"),
+        (lambda: alpha_beta(-_BIG), ValueError, f"k must be a positive integer, got -{_DIGITS}"),
     ], ids=["GridConfig-repeat", "GridConfig-family", "guard-family", "guard-count",
             "guard-specialized", "catalan-ordering", "finite_sum-form", "seq-n", "seq-k",
-            "basis-index", "QuadElem-k", "QuadElem-coords", "alpha_beta-split",
-            "alpha_beta-k"])
+            "basis-index", "QuadElem-k", "QuadElem-coords", "alpha_beta-k"])
     def test_error_keeps_its_type_and_text(self, default_digit_limit, call, error, message):
         with pytest.raises(error) as exc:
             call()
@@ -413,7 +410,7 @@ class TestLedger:
                 a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
                 s = {m: oct_seq(ML, 1, m) for m in (n - 1, n, n + 1)}
                 lhs = s[a] * s[b] - s[n] * s[n]
-                core = verify._core(ML, 1, 1, 1, ordering == "lr", True)
+                core = verify._core(ML, 1, 1, 1, ordering == "lr")
                 assert lhs == core.scale(-(2 ** (n - 1)))
                 assert check_cassini(ML, 1, n, ordering, specialized=True).status is Status.PASS
                 failed += lhs != core.scale(-(2 ** n))
@@ -428,31 +425,49 @@ class TestRightSideCores:
             for opposite in (False, True):
                 for i in range(9):
                     for j in range(9):
-                        for k, sp in ((1, True), (1, False), (2, False), (3, False)):
-                            core = verify._core(family, k, i, j, opposite, sp)
+                        for k in (1, 2, 3):
+                            core = verify._core(family, k, i, j, opposite)
                             assert all(type(c) is int for c in core.coords)
-                            unit = verify._core(family, k, 1, j, opposite, sp)
+                            unit = verify._core(family, k, 1, j, opposite)
                             assert core == unit.scale(seq_value(M, k, i)), (family, k, i, j)
 
-    def test_split_is_the_k1_corollary(self):
-        # the k = 1 pass runs the general forms at lam1 = 2, lam2 = 1,
-        # the image of the roots under the ring map L -> 2
-        def at_two(x):
-            return x.map_coords(lambda q: q.a + 2 * q.b)
+    def test_k1_cores_are_the_printed_ones(self):
+        # the k = 1 cores, taken in the ring, are the Vajda cores of the
+        # printed alpha_2 = sum_r 2^r e_r and beta_2 = sum_r e_r, at the
+        # roots 2, 1 with (2 - 1)^2 = 1
+        alpha2, beta2 = Octonion(tuple(2**r for r in range(8))), Octonion((1,) * 8)
+        ab, ba = cd_mul(alpha2, beta2), cd_mul(beta2, alpha2)
+        for opposite in (False, True):
+            x, y = (ab, ba) if opposite else (ba, ab)
+            for i in range(9):
+                for j in range(25):
+                    core = (x.scale(2**j) - y).scale(2**i - 1)
+                    assert verify._core(M, 1, i, j, opposite) == core, (opposite, i, j)
+                    assert verify._core(ML, 1, i, j, opposite) == -core, (opposite, i, j)
 
-        split, ring = alpha_beta(1, True), alpha_beta(1, False)
-        for field in ("alpha", "beta", "ab", "ba"):
-            assert getattr(split, field) == at_two(getattr(ring, field)), field
-        assert (split.lam1, split.lam2, split.disc) == (2, 1, 1)
-        for family in (M, ML):
-            for opposite in (False, True):
-                for i in range(9):
-                    for j in range(25):
-                        assert (verify._core(family, 1, i, j, opposite, True)
-                                == verify._core(family, 1, i, j, opposite, False)), \
-                            (family, opposite, i, j)
-            for n in range(41):
-                assert oct_seq_closed(family, 1, n, split=True) == oct_seq_closed(family, 1, n)
+    @pytest.mark.parametrize("table", [contextlib.nullcontext, corrupted_basis_table],
+                             ids=["true", "corrupted"])
+    def test_a_specialized_row_is_its_general_twin(self, table):
+        # both k = 1 passes take their right sides from the same ring, so
+        # a specialized row has the status and residual of the general
+        # row with its other params, FAIL residuals included
+        cfg = GridConfig(ks=(1,), n_max=20, ij_max=3,
+                         identities=("binet", "catalan", "cassini", "docagne", "vajda"))
+        with table():
+            results = run_grid(cfg).results
+
+        def general_key(r):
+            params = {**r.params, "specialized": False}
+            return r.identity, r.family, tuple(sorted(params.items()))
+
+        general = {general_key(r): r for r in results if not r.params["specialized"]}
+        specialized = [r for r in results if r.params["specialized"]]
+        assert len(specialized) == 2180
+        for r in specialized:
+            twin = general[general_key(r)]
+            assert (r.status, r.residual) == (twin.status, twin.residual), r
+        fails = sum(r.status is Status.FAIL for r in specialized)
+        assert (fails > 0) is (table is corrupted_basis_table)
 
     def test_caches_hold_the_default_grid(self, monkeypatch):
         # one key per distinct core (i, j) the default grid asks for:
@@ -461,24 +476,24 @@ class TestRightSideCores:
         # "lr", d'Ocagne when r > n
         keys = set()
         for name, family, p in verify._grid_points(GridConfig()):
-            k, sp = p["k"], p.get("specialized")
+            k = p["k"]
             if name == "catalan":
-                keys.add((family, k, p["r"], p["r"], p["ordering"] == "lr", sp))
+                keys.add((family, k, p["r"], p["r"], p["ordering"] == "lr"))
             elif name == "cassini":
-                keys.add((family, k, 1, 1, p["ordering"] == "lr", sp))
+                keys.add((family, k, 1, 1, p["ordering"] == "lr"))
             elif name == "docagne":
                 d = p["n"] - p["r"]
-                keys.add((family, k, 1, abs(d), d < 0, sp))
+                keys.add((family, k, 1, abs(d), d < 0))
             elif name == "vajda":
-                keys.add((family, k, p["i"], p["j"], False, sp))
-        assert len(keys) == 1632
+                keys.add((family, k, p["i"], p["j"], False))
+        assert len(keys) == 1380
         maxsize = verify._core.cache_info().maxsize
         assert maxsize is not None and maxsize >= len(keys)
         # the caches below are pinned by the most keys one command fills,
         # measured from cold caches: the default grid, and a verify at
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
-        bounded = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences._alpha_beta,
+        bounded = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
                    verify._j_factor]
         cold = bounded + [verify._core, verify._table_product]
         needed = [0] * len(bounded)
@@ -501,9 +516,9 @@ class TestRightSideCores:
                 assert products.misses <= 21_000
                 assert products.maxsize == 1024
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
-        # _alpha_beta: five general k plus the k = 1 split; _j_factor: the
-        # cores' 292 distinct (k, j, opposite, specialized)
-        assert needed == [490, 362, 6, 292]
+        # alpha_beta: one per k; _j_factor: the cores' 250 distinct
+        # (k, j, opposite)
+        assert needed == [490, 362, 5, 250]
         for cache, n in zip(bounded, needed):
             assert cache.cache_info().maxsize >= 2 * n
         # oct_seq caches the same keys, so seq_window's own cache only missed
@@ -597,9 +612,9 @@ class TestCorruptedTable:
         # Binet, the generating function and the finite sum take no
         # octonion product, so they cannot see the table; the norm, taken
         # as S times its conjugate, and the product identities (in the
-        # general pass and in the k = 1 split) must fail under each of
-        # the 64 sign flips and each of the 8 * 28 swaps of two indices
-        # within a row (a single redirected index does not compile)
+        # general pass and in the k = 1 specialized pass) must fail under
+        # each of the 64 sign flips and each of the 8 * 28 swaps of two
+        # indices within a row (a single redirected index does not compile)
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         assert len(list(verify._grid_points(cfg))) == 380
         expected = {(name, sp) for name in ("catalan", "cassini", "docagne", "vajda")
@@ -729,7 +744,7 @@ class TestRowText:
         for name, cache in caches.items():
             assert cache.cache_info().maxsize is not None, name
         assert sorted(name.rsplit(".", 1)[1] for name in caches) == [
-            "_alpha_beta", "_core", "_frame", "_j_factor", "_lam_pow", "_table_product",
+            "_core", "_frame", "_j_factor", "_lam_pow", "_table_product", "alpha_beta",
             "oct_seq"]
         del caches["mersenne_octonions.verify._table_product"]
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
