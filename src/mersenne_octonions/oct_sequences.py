@@ -10,6 +10,8 @@ form is computed there and only then dropped to integer coordinates
 by one helper, _exact; a non-integer after reduction means a bug, not
 bad input.  Both alpha and beta have e0 coordinate 1, so coordinate e0
 of the octonion closed form is the scalar Binet form, seq_binet.
+Vajda's right side is 2^n M[k,i] Y_j, with M[k,i] read exactly as an
+L-coordinate and Y_j dropped through _exact like every closed form.
 """
 
 from __future__ import annotations
@@ -47,12 +49,9 @@ class AlphaBeta:
         return p, p.conj()
 
 
-# Each bound is at least twice the most keys one command fills: the
-# default grid (oct_seq 490, alpha_beta 5), a verify at n <= 120 (_lam_pow 362).
-# verify's caches keep the same rule: the default grid fills 1,380 of
-# _core's 4,096 keys, 250 of _j_factor's 1,024 and 19 of _frame's 64.
-# typed: True and 1.0 equal 1 as keys, and must not be served k = 1's
-# constants; QuadElem refuses them.  k is positional, one key per k.
+# Each cache holds twice or more the most keys one command fills, here
+# the default grid's 5.  typed, and k positional: one key per k, and
+# True or 1.0 is never served k = 1's constants; QuadElem refuses them.
 @lru_cache(maxsize=16, typed=True)
 def alpha_beta(k: int, /) -> AlphaBeta:
     """alpha and beta at the roots L, 3k - L of the quotient ring.
@@ -68,7 +67,7 @@ def alpha_beta(k: int, /) -> AlphaBeta:
                      cd_mul(beta, alpha), (alpha.norm_sq(), beta.norm_sq()))
 
 
-# typed: True and 3.0 equal 1 and 3 as keys, and must reach the checks
+# the default grid's 490; typed, so that True and 3.0 reach the checks
 @lru_cache(maxsize=1024, typed=True)
 def oct_seq(family: Family, k: int, n: int) -> Octonion:
     """Defining form: coordinate r is the scalar sequence at n+r."""
@@ -99,6 +98,7 @@ def project_rational(x: Octonion, divisor: int = 1) -> Octonion:
     return x.map_coords(lambda c: _exact(c, divisor))
 
 
+# the 362 powers of a verify at n <= 120
 @lru_cache(maxsize=1024)
 def _lam_pow(k: int, e: int) -> QuadElem:
     return lam(k) ** e
@@ -141,3 +141,26 @@ def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:
     if Family(family) is Family.MERSENNE:
         return _exact(val - tail, ab.disc)
     return _exact(val + tail)
+
+
+# the default grid's 250 (k, j, opposite)
+@lru_cache(maxsize=1024)
+def _vajda_y(k: int, j: int, opposite: bool) -> tuple:
+    """The int coordinates of Y_j = (beta alpha lam1^j - alpha beta
+    lam2^j)/(lam1 - lam2), products swapped if opposite is set; the exact
+    drop by disc holds only as alpha beta and beta alpha are conjugate."""
+    ab = alpha_beta(k)
+    p1, p2 = ab.powers(j)
+    x, y = (ab.ab, ab.ba) if opposite else (ab.ba, ab.ab)
+    return project_rational((x.scale(p1) - y.scale(p2)).scale(ab.lam1 - ab.lam2),
+                            ab.disc).coords
+
+
+def _vajda_closed(family: Family, k: int, i: int, j: int, opposite: bool) -> tuple:
+    """(m, y) with S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n m y, in the opposite
+    algebra if opposite is set: m = M[k,i], the L-coordinate of lam1^i =
+    -2 M[k,i-1] + M[k,i] L, times -(9k^2 - 8) for the Lucas family."""
+    m = _lam_pow(k, i).b
+    if family is Family.MERSENNE_LUCAS:
+        m *= -discriminant(k)
+    return m, _vajda_y(k, j, opposite)

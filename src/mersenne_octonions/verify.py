@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
-from .oct_sequences import (alpha_beta, oct_seq, oct_seq_closed, oct_seq_conj,
-                            oct_seq_norm_sq_closed, project_rational)
+from .oct_sequences import (_vajda_closed, oct_seq, oct_seq_closed, oct_seq_conj,
+                            oct_seq_norm_sq_closed)
 from .sequences import Family, _no_digit_limit, decimal_repr, decimal_str
 
 DISCREPANCIES = (
@@ -236,38 +236,9 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 # Catalan, Cassini, d'Ocagne and Vajda are each a difference of products
 # S[a]S[b] - S[c]S[d] with a + b = c + d, so the alpha^2 and beta^2 terms
 # cancel and each right side is one scaling of Vajda's,
-#     S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n _core(i, j).
+#     S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n m y   (oct_sequences._vajda_closed).
 # Products taken in the reverse order are Vajda's identity in the
-# opposite algebra, where alpha beta and beta alpha trade places.  The
-# caches are bounded so that a long-lived process stays small, each at
-# twice or more the keys one command fills: the default grid asks for
-# 1,380 cores, which share 250 j-factors.
-
-@lru_cache(maxsize=1024)
-def _j_factor(k: int, j: int, opposite: bool) -> Octonion:
-    """beta alpha lam1^j - alpha beta lam2^j at the roots of
-    alpha_beta(k), with the products swapped if opposite is set: the
-    factor of _core that neither i nor the family changes."""
-    ab = alpha_beta(k)
-    p1, p2 = ab.powers(j)
-    x, y = (ab.ab, ab.ba) if opposite else (ab.ba, ab.ab)
-    return x.scale(p1) - y.scale(p2)
-
-
-@lru_cache(maxsize=4096)
-def _core(family: Family, k: int, i: int, j: int, opposite: bool) -> Octonion:
-    """Vajda's right side with 2^n stripped, in the opposite algebra if
-    opposite is set; always integer-coordinated.  At the roots of
-    alpha_beta(k), the Mersenne core is
-    (beta alpha lam1^j - alpha beta lam2^j)(lam1^i - lam2^i)/(lam1 - lam2)^2."""
-    ab = alpha_beta(k)
-    q1, q2 = ab.powers(i)
-    core = _j_factor(k, j, opposite).scale(q1 - q2)
-    # the Lucas core is the same product negated, undivided
-    if family is Family.MERSENNE:
-        return project_rational(core, ab.disc)
-    return project_rational(-core)
-
+# opposite algebra, where alpha beta and beta alpha trade places.
 
 # The left sides take their products S[a]S[b] by the table from one
 # cache, keyed by the compiled product in force, so that the mutation
@@ -286,13 +257,15 @@ def _table_product(family: Family, k: int, a: int, b: int, product) -> tuple:
 
 def _vajda_form(identity, family, k, params, abcd, core, s, note="") -> CheckResult:
     """The verdict of S[a]S[b] - S[c]S[d], by the table in force, against
-    _core(family, k, *core) scaled by s.  The sides are compared as
-    coordinate tuples, so that a PASS builds no octonion."""
+    m y = _vajda_closed(family, k, *core) scaled by s.  The sides are
+    compared as coordinate tuples, so that a PASS builds no octonion."""
     a, b, c, d = abcd
     product = _active_product()
     lhs = tuple(map(sub, _table_product(family, k, a, b, product),
                     _table_product(family, k, c, d, product)))
-    rhs = tuple([x * s for x in _core(family, k, *core).coords])
+    m, y = _vajda_closed(family, k, *core)
+    s *= m
+    rhs = tuple([x * s for x in y])
     return _result(identity, family, params, lhs, rhs, note)
 
 

@@ -1,6 +1,8 @@
 """The package root: every public name loads its module on first use."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +50,13 @@ def test_import_loads_only_what_is_used(run_fresh):
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n['mersenne_octonions.sequences'] True\n"
+
+
+def test_readme_library_example_runs(monkeypatch):
+    # README's one python block, run as written, so that a public name it
+    # uses that is removed or renamed fails a test, not only the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -21,7 +21,7 @@ import mersenne_octonions
 from mersenne_octonions.octonion import (INDEX, SIGN, Octonion, active_basis_table, cd_mul,
                                          corrupted_basis_table, use_basis_table)
 from mersenne_octonions.sequences import Family, seq_value, seq_window
-from mersenne_octonions.oct_sequences import alpha_beta, oct_seq, oct_seq_conj
+from mersenne_octonions.oct_sequences import _vajda_closed, alpha_beta, oct_seq, oct_seq_conj
 from mersenne_octonions.quadratic import QuadElem
 from mersenne_octonions import oct_sequences, sequences, verify
 from mersenne_octonions.verify import (
@@ -410,7 +410,8 @@ class TestLedger:
                 a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
                 s = {m: oct_seq(ML, 1, m) for m in (n - 1, n, n + 1)}
                 lhs = s[a] * s[b] - s[n] * s[n]
-                core = verify._core(ML, 1, 1, 1, ordering == "lr")
+                m, y = _vajda_closed(ML, 1, 1, 1, ordering == "lr")
+                core = Octonion(y).scale(m)
                 assert lhs == core.scale(-(2 ** (n - 1)))
                 assert check_cassini(ML, 1, n, ordering, specialized=True).status is Status.PASS
                 failed += lhs != core.scale(-(2 ** n))
@@ -419,17 +420,18 @@ class TestLedger:
 
 class TestRightSideCores:
     def test_core_is_int(self):
-        # the folded scalar is the recurrence's M[k,i]: the core at i is
-        # the core at i = 1 (where M[k,1] = 1) scaled by it
+        # Vajda's right side is 2^n m y: y has int coordinates, and m is
+        # the recurrence's M[k,i], times -(9k^2 - 8) for the Lucas family
         for family in (M, ML):
             for opposite in (False, True):
                 for i in range(9):
                     for j in range(9):
                         for k in (1, 2, 3):
-                            core = verify._core(family, k, i, j, opposite)
-                            assert all(type(c) is int for c in core.coords)
-                            unit = verify._core(family, k, 1, j, opposite)
-                            assert core == unit.scale(seq_value(M, k, i)), (family, k, i, j)
+                            m, y = _vajda_closed(family, k, i, j, opposite)
+                            assert type(m) is int and len(y) == 8
+                            assert all(type(c) is int for c in y)
+                            lucas = -(9 * k * k - 8) if family is ML else 1
+                            assert m == lucas * seq_value(M, k, i), (family, k, i, j)
 
     def test_k1_cores_are_the_printed_ones(self):
         # the k = 1 cores, taken in the ring, are the Vajda cores of the
@@ -442,8 +444,9 @@ class TestRightSideCores:
             for i in range(9):
                 for j in range(25):
                     core = (x.scale(2**j) - y).scale(2**i - 1)
-                    assert verify._core(M, 1, i, j, opposite) == core, (opposite, i, j)
-                    assert verify._core(ML, 1, i, j, opposite) == -core, (opposite, i, j)
+                    for family, sign in (M, 1), (ML, -1):
+                        m, factor = _vajda_closed(family, 1, i, j, opposite)
+                        assert Octonion(factor).scale(m) == core.scale(sign), (family, i, j)
 
     @pytest.mark.parametrize("table", [contextlib.nullcontext, corrupted_basis_table],
                              ids=["true", "corrupted"])
@@ -470,32 +473,30 @@ class TestRightSideCores:
         assert (fails > 0) is (table is corrupted_basis_table)
 
     def test_caches_hold_the_default_grid(self, monkeypatch):
-        # one key per distinct core (i, j) the default grid asks for:
-        # Catalan (r, r), Cassini (1, 1), d'Ocagne (1, |n - r|) and Vajda
-        # (i, j); Catalan and Cassini take their products reversed in
-        # "lr", d'Ocagne when r > n
+        # one _vajda_y key (k, j, opposite) per Y_j of the Vajda (i, j) the
+        # default grid asks for: Catalan (r, r), Cassini (1, 1), d'Ocagne
+        # (1, |n - r|) and Vajda (i, j); Catalan and Cassini take their
+        # products reversed in "lr", d'Ocagne when r > n
         keys = set()
         for name, family, p in verify._grid_points(GridConfig()):
             k = p["k"]
             if name == "catalan":
-                keys.add((family, k, p["r"], p["r"], p["ordering"] == "lr"))
+                keys.add((k, p["r"], p["ordering"] == "lr"))
             elif name == "cassini":
-                keys.add((family, k, 1, 1, p["ordering"] == "lr"))
+                keys.add((k, 1, p["ordering"] == "lr"))
             elif name == "docagne":
                 d = p["n"] - p["r"]
-                keys.add((family, k, 1, abs(d), d < 0))
+                keys.add((k, abs(d), d < 0))
             elif name == "vajda":
-                keys.add((family, k, p["i"], p["j"], False))
-        assert len(keys) == 1380
-        maxsize = verify._core.cache_info().maxsize
-        assert maxsize is not None and maxsize >= len(keys)
+                keys.add((k, p["j"], False))
+        assert len(keys) == 250
         # the caches below are pinned by the most keys one command fills,
         # measured from cold caches: the default grid, and a verify at
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         bounded = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
-                   verify._j_factor]
-        cold = bounded + [verify._core, verify._table_product]
+                   oct_sequences._vajda_y]
+        cold = bounded + [verify._table_product]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
                                              identities=("binet", "norm_closed", "cassini"))):
@@ -504,7 +505,7 @@ class TestRightSideCores:
             run_grid(cfg)
             if cfg == GridConfig():
                 # the grid fills exactly the keys derived above
-                assert verify._core.cache_info().currsize == len(keys)
+                assert oct_sequences._vajda_y.cache_info().currsize == len(keys)
                 # every left-side product goes through the product cache:
                 # two per Catalan, Cassini, d'Ocagne and Vajda point, of
                 # which 10,600 are distinct.  Grid order keeps each block's
@@ -516,8 +517,7 @@ class TestRightSideCores:
                 assert products.misses <= 21_000
                 assert products.maxsize == 1024
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
-        # alpha_beta: one per k; _j_factor: the cores' 250 distinct
-        # (k, j, opposite)
+        # alpha_beta: one per k; _vajda_y: the 250 keys derived above
         assert needed == [490, 362, 5, 250]
         for cache, n in zip(bounded, needed):
             assert cache.cache_info().maxsize >= 2 * n
@@ -533,7 +533,8 @@ class TestRightSideCores:
             for k in (1, 2, 3):
                 for n in range(2 * n_max + 4):
                     oct_seq(family, k, n)
-        verify._core.cache_clear()
+        oct_sequences._vajda_y.cache_clear()
+        oct_sequences._lam_pow.cache_clear()
 
         def recurrence(*args):
             raise AssertionError("a right side ran the recurrence")
@@ -744,8 +745,7 @@ class TestRowText:
         for name, cache in caches.items():
             assert cache.cache_info().maxsize is not None, name
         assert sorted(name.rsplit(".", 1)[1] for name in caches) == [
-            "_core", "_frame", "_j_factor", "_lam_pow", "_table_product", "alpha_beta",
-            "oct_seq"]
+            "_frame", "_lam_pow", "_table_product", "_vajda_y", "alpha_beta", "oct_seq"]
         del caches["mersenne_octonions.verify._table_product"]
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         for cache in caches.values():
