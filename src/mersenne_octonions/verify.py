@@ -23,7 +23,7 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from operator import sub
 from typing import NamedTuple
@@ -176,20 +176,54 @@ def _check_common(family, k: int, specialized: bool, **counts):
 
 # --- Identity registry ----------------------------------------------
 
-# name -> check_<name>; the grid calls every check through this dict
+# name -> check_<name>, the library API of each identity
 _CHECKS = {}
 # name -> points(cfg), the check's keyword dicts beyond family on the grid
 _GRIDS = {}
+# name -> blocks(cfg): the identity's grid, one family's, as (size,
+# points, rows) blocks in grid order, where points iterates over the
+# block's points, size counts them in closed form, and rows(family,
+# points) evaluates any run of them
+_BLOCKS = {}
 
 _ORDERINGS = ("lr", "rl")
 
 
-def _identity(points):
-    """Register the decorated check_<name> as identity <name>, run on
-    every keyword dict that points(cfg) yields."""
+def _identity(points, size):
+    """Register the decorated check_<name> as identity <name>, evaluated
+    a point at a time: one block a family, of the size(cfg) keyword dicts
+    that points(cfg) yields."""
     def register(check):
         name = check.__name__.removeprefix("check_")
         _CHECKS[name], _GRIDS[name] = check, points
+        _BLOCKS[name] = lambda cfg: [(size(cfg), _GRIDS[name](cfg), partial(_point_rows, name))]
+        return check
+    return register
+
+
+def _point_rows(name, family, points):
+    """The rows of identity name at points, one check_<name> call each."""
+    return (_evaluate_point((name, family, params)) for params in points)
+
+
+def _product_identity(forms, points, size, largest):
+    """Register the decorated check_<name> as product identity <name>,
+    evaluated by _vajda_rows a block (family, k, pass) at a time: in the
+    pass (k, n_hi, specialized), forms(k, specialized, points(n_hi,
+    ij_max)) maps the block's size(n_hi, ij_max) points onto Vajda's
+    identity, and the block's guard takes largest(n_hi, ij_max) as its
+    counts."""
+    def register(check):
+        name = check.__name__.removeprefix("check_")
+
+        def blocks(cfg):
+            for k, n_hi, sp in _passes(cfg):
+                ij = cfg.ij_max
+                yield (size(n_hi, ij), forms(k, sp, points(n_hi, ij)),
+                       partial(_block_rows, name, k, sp, largest(n_hi, ij)))
+
+        _CHECKS[name], _BLOCKS[name] = check, blocks
+        _GRIDS[name] = lambda cfg: (form[0] for _, block, _ in blocks(cfg) for form in block)
         return check
     return register
 
@@ -210,7 +244,8 @@ def _passes(cfg):
 # --- Binet closed form and norm --------------------------------------
 
 @_identity(lambda cfg: ({"k": k, "n": n, "specialized": sp}
-                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)))
+                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)),
+           lambda cfg: sum(n_hi + 1 for _, n_hi, _ in _passes(cfg)))
 def check_binet(family: Family, k: int, n: int,
                 specialized: bool = False) -> CheckResult:
     """Defining recurrence octonion against the closed form."""
@@ -221,7 +256,8 @@ def check_binet(family: Family, k: int, n: int,
     return _result("binet", family, params, lhs.coords, rhs.coords)
 
 
-@_identity(lambda cfg: ({"k": k, "n": n} for k in cfg.ks for n in range(cfg.n_max + 1)))
+@_identity(lambda cfg: ({"k": k, "n": n} for k in cfg.ks for n in range(cfg.n_max + 1)),
+           lambda cfg: len(cfg.ks) * (cfg.n_max + 1))
 def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
     """S times its conjugate, by the table in force, against the
     closed-form squared norm in the e0 slot."""
@@ -244,9 +280,10 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 # cache, keyed by the compiled product in force, so that the mutation
 # hook's table gets its own entries.  The default grid takes 70,696
 # products, 10,600 of them distinct.  Grid order (identity, family, k,
-# n) keeps the products one block needs close together, so 1,024 entries
-# miss 17,530 times, and twice as many would still miss 17,218 times;
-# holding all 10,600 raised a run's peak memory by some 7 MB.
+# n), which each block keeps, holds the products one block needs close
+# together, so 1,024 entries miss 17,530 times, and twice as many would
+# still miss 17,218 times; holding all 10,600 raised a run's peak memory
+# by some 7 MB.
 
 @lru_cache(maxsize=1024, typed=True)
 def _table_product(family: Family, k: int, a: int, b: int, product) -> tuple:
@@ -255,23 +292,56 @@ def _table_product(family: Family, k: int, a: int, b: int, product) -> tuple:
     return (oct_seq(family, k, a) * oct_seq(family, k, b)).coords
 
 
-def _vajda_form(identity, family, k, params, abcd, core, s, note="") -> CheckResult:
-    """The verdict of S[a]S[b] - S[c]S[d], by the table in force, against
-    m y = _vajda_closed(family, k, *core) scaled by s.  The sides are
-    compared as coordinate tuples, so that a PASS builds no octonion."""
-    a, b, c, d = abcd
-    product = _active_product()
-    lhs = tuple(map(sub, _table_product(family, k, a, b, product),
-                    _table_product(family, k, c, d, product)))
-    m, y = _vajda_closed(family, k, *core)
-    s *= m
-    rhs = tuple([x * s for x in y])
-    return _result(identity, family, params, lhs, rhs, note)
+# the note of a block (identity, family, specialized) that has one
+_NOTES = {
+    ("cassini", Family.MERSENNE_LUCAS, True):
+        "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy",
+}
 
 
-@_identity(lambda cfg: ({"k": k, "n": n, "r": r, "ordering": o, "specialized": sp}
-                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)
-                        for r in range(n + 1) for o in _ORDERINGS))
+def _block_rows(identity, k, specialized, counts, family, forms):
+    """The rows of a product identity's block at forms, after the one
+    guard the block runs, on its largest counts."""
+    _check_common(family, k, specialized, **counts)
+    return _vajda_rows(identity, family, k, specialized, forms)
+
+
+def _vajda_rows(identity, family, k, specialized, forms):
+    """The rows of product identity at forms, points of its block (family,
+    k, specialized) mapped onto Vajda's identity: per point (params, a, b,
+    c, d, core, s), S[a]S[b] - S[c]S[d], by the table in force, against s
+    m y, where (m, y) = _vajda_closed(family, k, *core).  The compiled
+    product, the note and each core's (m, y) are taken once a block.  The
+    sides are compared as coordinate tuples, so that a PASS builds no
+    octonion."""
+    product, closed = _active_product(), {}
+    note = _NOTES.get((identity, family, specialized), "")
+    for params, a, b, c, d, core, s in forms:
+        try:
+            m, y = closed[core]
+        except KeyError:
+            m, y = closed[core] = _vajda_closed(family, k, *core)
+        lhs = tuple(map(sub, _table_product(family, k, a, b, product),
+                        _table_product(family, k, c, d, product)))
+        s *= m
+        rhs = tuple([x * s for x in y])
+        yield _result(identity, family, params, lhs, rhs, note)
+
+
+def _catalan_forms(k, specialized, points):
+    # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
+    for n, r, ordering in points:
+        lr = ordering == "lr"
+        a, b = (n + r, n - r) if lr else (n - r, n + r)
+        yield ({"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized},
+               a, b, n, n, (r, r, lr), -(2 ** (n - r)))
+
+
+@_product_identity(_catalan_forms,
+                   lambda n_hi, ij: ((n, r, o) for n in range(n_hi + 1)
+                                     for r in range(n + 1) for o in _ORDERINGS),
+                   lambda n_hi, ij: (n_hi + 1) * (n_hi + 2),
+                   lambda n_hi, ij: {"n": n_hi, "r": n_hi})
 def check_catalan(family: Family, k: int, n: int, r: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """S[n+r]S[n-r] - S[n]^2 ("lr") or S[n-r]S[n+r] - S[n]^2 ("rl")
@@ -281,16 +351,23 @@ def check_catalan(family: Family, k: int, n: int, r: int,
         raise ParamError(f"unknown ordering {decimal_repr(ordering)}")
     if r > n:
         raise ParamError(f"need 0 <= r <= n, got r={decimal_str(r)}, n={decimal_str(n)}")
-    a, b = (n + r, n - r) if ordering == "lr" else (n - r, n + r)
-    params = {"k": k, "n": n, "r": r, "ordering": ordering, "specialized": specialized}
-    # Vajda at (n - r, r, r), negated; "lr" takes its products reversed
-    return _vajda_form("catalan", family, k, params, (a, b, n, n),
-                       (r, r, ordering == "lr"), -(2 ** (n - r)))
+    forms = _catalan_forms(k, specialized, [(n, r, ordering)])
+    return next(_vajda_rows("catalan", family, k, specialized, forms))
 
 
-@_identity(lambda cfg: ({"k": k, "n": n, "ordering": o, "specialized": sp}
-                        for k, n_hi, sp in _passes(cfg) for n in range(1, n_hi + 1)
-                        for o in _ORDERINGS))
+def _cassini_forms(k, specialized, points):
+    # Catalan at r = 1
+    for n, ordering in points:
+        lr = ordering == "lr"
+        a, b = (n + 1, n - 1) if lr else (n - 1, n + 1)
+        yield ({"k": k, "n": n, "ordering": ordering, "specialized": specialized},
+               a, b, n, n, (1, 1, lr), -(2 ** (n - 1)))
+
+
+@_product_identity(_cassini_forms,
+                   lambda n_hi, ij: ((n, o) for n in range(1, n_hi + 1) for o in _ORDERINGS),
+                   lambda n_hi, ij: 2 * n_hi,
+                   lambda n_hi, ij: {"n": n_hi})
 def check_cassini(family: Family, k: int, n: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """The r=1 Catalan case: the left side is computed from the Cassini
@@ -306,40 +383,48 @@ def check_cassini(family: Family, k: int, n: int,
         raise ParamError(f"unknown ordering {decimal_repr(ordering)}")
     if n < 1:
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
-    a, b = (n + 1, n - 1) if ordering == "lr" else (n - 1, n + 1)
-    note = ""
-    if specialized and family is Family.MERSENNE_LUCAS:
-        note = "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"
-    params = {"k": k, "n": n, "ordering": ordering, "specialized": specialized}
-    return _vajda_form("cassini", family, k, params, (a, b, n, n),
-                       (1, 1, ordering == "lr"), -(2 ** (n - 1)), note)
+    forms = _cassini_forms(k, specialized, [(n, ordering)])
+    return next(_vajda_rows("cassini", family, k, specialized, forms))
 
 
-@_identity(lambda cfg: ({"k": k, "n": n, "r": r, "specialized": sp}
-                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)
-                        for r in range(n + 1)))
+def _docagne_forms(k, specialized, points):
+    for n, r in points:
+        params = {"k": k, "n": n, "r": r, "specialized": specialized}
+        if r <= n:  # Vajda at (r, 1, n - r), negated
+            yield params, r, n + 1, r + 1, n, (1, n - r, False), -(2**r)
+        else:  # Vajda at (n, 1, r - n) in the opposite algebra
+            yield params, r, n + 1, r + 1, n, (1, r - n, True), 2**n
+
+
+@_product_identity(_docagne_forms,
+                   lambda n_hi, ij: ((n, r) for n in range(n_hi + 1) for r in range(n + 1)),
+                   lambda n_hi, ij: (n_hi + 1) * (n_hi + 2) // 2,
+                   lambda n_hi, ij: {"n": n_hi, "r": n_hi})
 def check_docagne(family: Family, k: int, n: int, r: int,
                   specialized: bool = False) -> CheckResult:
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
     _check_common(family, k, specialized, n=n, r=r)
-    if r <= n:  # Vajda at (r, 1, n - r), negated
-        core, s = (1, n - r, False), -(2**r)
-    else:  # Vajda at (n, 1, r - n) in the opposite algebra
-        core, s = (1, r - n, True), 2**n
-    params = {"k": k, "n": n, "r": r, "specialized": specialized}
-    return _vajda_form("docagne", family, k, params, (r, n + 1, r + 1, n), core, s)
+    forms = _docagne_forms(k, specialized, [(n, r)])
+    return next(_vajda_rows("docagne", family, k, specialized, forms))
 
 
-@_identity(lambda cfg: ({"k": k, "n": n, "i": i, "j": j, "specialized": sp}
-                        for k, n_hi, sp in _passes(cfg) for n in range(n_hi + 1)
-                        for i in range(cfg.ij_max + 1) for j in range(cfg.ij_max + 1)))
+def _vajda_forms(k, specialized, points):
+    for n, i, j in points:
+        yield ({"k": k, "n": n, "i": i, "j": j, "specialized": specialized},
+               n + i, n + j, n, n + i + j, (i, j, False), 2**n)
+
+
+@_product_identity(_vajda_forms,
+                   lambda n_hi, ij: ((n, i, j) for n in range(n_hi + 1)
+                                     for i in range(ij + 1) for j in range(ij + 1)),
+                   lambda n_hi, ij: (n_hi + 1) * (ij + 1) ** 2,
+                   lambda n_hi, ij: {"n": n_hi, "i": ij, "j": ij})
 def check_vajda(family: Family, k: int, n: int, i: int, j: int,
                 specialized: bool = False) -> CheckResult:
     """S[n+i]S[n+j] - S[n]S[n+i+j] against the closed right side."""
     _check_common(family, k, specialized, n=n, i=i, j=j)
-    params = {"k": k, "n": n, "i": i, "j": j, "specialized": specialized}
-    return _vajda_form("vajda", family, k, params, (n + i, n + j, n, n + i + j),
-                       (i, j, False), 2**n)
+    forms = _vajda_forms(k, specialized, [(n, i, j)])
+    return next(_vajda_rows("vajda", family, k, specialized, forms))
 
 
 # --- Generating function and finite sum ------------------------------
@@ -349,7 +434,8 @@ _GENFUNC_TERMS = 32
 
 
 @_identity(lambda cfg: ({"k": k, "terms": _GENFUNC_TERMS}
-                        for k in cfg.ks if k <= _GENFUNC_K_MAX))
+                        for k in cfg.ks if k <= _GENFUNC_K_MAX),
+           lambda cfg: sum(k <= _GENFUNC_K_MAX for k in cfg.ks))
 def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
     """Expand (S0 + x(S1 - 3k S0)) / (1 - 3kx + 2x^2) and compare the
     first `terms` coefficients with the sequence octonions.
@@ -376,7 +462,8 @@ def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
 
 # the k = 1 pass is the specialized form, over the general pass's n range
 @_identity(lambda cfg: ({"k": k, "n": n, "form": "specialized" if sp else "general"}
-                        for k, _, sp in _passes(cfg) for n in range(cfg.n_max + 1)))
+                        for k, _, sp in _passes(cfg) for n in range(cfg.n_max + 1)),
+           lambda cfg: sum(cfg.n_max + 1 for _ in _passes(cfg)))
 def check_finite_sum(family: Family, k: int, n: int,
                      form: str = "auto") -> CheckResult:
     """Partial sum of the first n+1 sequence octonions against the
@@ -435,7 +522,9 @@ class GridConfig:
     holds 1, the k = 1 specialized forms run as a second pass up to
     n = min(20, n_max).  The defaults cover k in 1..5 with n up to 24
     and i, j up to 8.  A malformed config is refused with a ConfigError
-    when it is built, so every GridConfig is valid.
+    when it is built, so every GridConfig is valid.  Its grid's size is
+    counted in closed form, block by block; run_grid refuses a grid of
+    more than _GRID_MAX points before it evaluates any.
     """
 
     ks: tuple = (1, 2, 3, 4, 5)
@@ -476,7 +565,7 @@ class GridConfig:
 
 
 def _grid_points(cfg: GridConfig):
-    """The (identity, family, params-dict) tasks, generated in grid order."""
+    """The (identity, family, params-dict) points, walked in grid order."""
     return ((name, family, params) for name in cfg.identities
             for family in cfg.families for params in _GRIDS[name](cfg))
 
@@ -484,6 +573,29 @@ def _grid_points(cfg: GridConfig):
 def _evaluate_point(point):
     identity, family, params = point
     return _CHECKS[identity](family, **params)
+
+
+# a refused grid is counted, never walked: 276 times the default grid
+_GRID_MAX = 10**7
+
+
+def _grid_size(cfg: GridConfig) -> int:
+    """The number of grid points, summed over the blocks' closed forms."""
+    return sum(size for name in cfg.identities for _ in cfg.families
+               for size, _, _ in _BLOCKS[name](cfg))
+
+
+def _rows(cfg: GridConfig, lo: int, hi: int):
+    """The CheckResults of grid points lo to hi - 1, in grid order.  A
+    block is entered at an offset by slicing its points, so no point
+    outside the slice is evaluated."""
+    start = 0
+    for name in cfg.identities:
+        for family in cfg.families:
+            for size, points, rows in _BLOCKS[name](cfg):
+                if lo < start + size and start < hi:
+                    yield from rows(family, islice(points, max(lo - start, 0), hi - start))
+                start += size
 
 
 def _tally(r: CheckResult) -> tuple:
@@ -494,11 +606,12 @@ def _tally(r: CheckResult) -> tuple:
 def _evaluate_slice(job) -> tuple:
     """A pool worker's share of the grid, points lo to hi - 1 of cfg's:
     their rows as JSON text, joined by ",\n", and their Counter of
-    _tally keys.  The worker generates the points itself, so that none
-    crosses the pool."""
+    _tally keys.  The worker generates its points itself, entering its
+    first and last blocks at an offset, so that no point crosses the
+    pool and none outside the slice is evaluated."""
     cfg, lo, hi = job
     counts, rows = Counter(), []
-    for r in map(_evaluate_point, islice(_grid_points(cfg), lo, hi)):
+    for r in _rows(cfg, lo, hi):
         counts[_tally(r)] += 1
         rows.append(r.to_json())
     return ",\n".join(rows), counts
@@ -619,23 +732,27 @@ def _max_workers() -> int:
 def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     """Evaluate every enabled identity over the configured grid.
 
-    Grid points are independent pure evaluations.  A serial run
-    evaluates each point as it is generated and keeps the results.
-    With MERSOCT_MAX_WORKERS > 1 the grid is cut into one contiguous
-    slice per process, at most one per CPU and one per point; each
-    worker evaluates its slice and sends back only its rows' JSON text
-    and their counts, which pool.map keeps in grid order.  So the report
-    does not depend on the worker count.  A grid with no point is a
-    ConfigError, not an empty report.
+    Grid points are independent pure evaluations.  The grid's size is
+    counted first, in closed form: a grid with no point, or with more
+    than _GRID_MAX, is a ConfigError before any point is evaluated.  A
+    serial run evaluates the grid a block at a time and keeps the
+    results.  With MERSOCT_MAX_WORKERS > 1 the grid is cut into one
+    contiguous slice per process, at most one per CPU and one per point;
+    each worker evaluates its slice and sends back only its rows' JSON
+    text and their counts, which pool.map keeps in grid order.  So the
+    report does not depend on the worker count.
     """
     global ProcessPoolExecutor
     cfg = cfg or GridConfig()
-    # a pool starts every worker up front, so the count must be bounded;
-    # the points are counted to cut the slices, and never listed
     workers = min(_max_workers(), os.cpu_count() or 1)
-    if workers > 1:
-        size = sum(1 for _ in _grid_points(cfg))
-        workers = min(workers, size)
+    size = _grid_size(cfg)
+    if not size:
+        raise ConfigError("the selected identities have no grid point at these k and n")
+    if size > _GRID_MAX:
+        raise ConfigError(f"the grid has {decimal_str(size)} points, "
+                          f"more than the {_GRID_MAX:,} a run may take")
+    # a pool starts every worker up front, so the count must be bounded
+    workers = min(workers, size)
     if workers > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
@@ -648,7 +765,4 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
                                  initargs=(active_basis_table(),)) as pool:
             shares = tuple(pool.map(_evaluate_slice, slices, chunksize=1))
         return _PoolReport(cfg, shares)
-    results = tuple(map(_evaluate_point, _grid_points(cfg)))
-    if not results:
-        raise ConfigError("the selected identities have no grid point at these k and n")
-    return VerificationReport(results, cfg)
+    return VerificationReport(tuple(_rows(cfg, 0, size)), cfg)

@@ -183,6 +183,9 @@ class TestVerify:
         pytest.param(["--n", "0..2", "--identities", ""], id=""),
         pytest.param(["--ij-max", "-1", "--identities", "vajda"], id="ij-max=-1"),
         pytest.param(["--n", "0"], id="n=0"),
+        # a grid over the cap is counted and refused before any work
+        pytest.param(["--n", "1", "--ij-max", str(sys.maxsize), "--identities", "vajda"],
+                     id="over-the-cap"),
     ])
     def test_repeated_or_empty_identities_are_usage_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", "--k", "2", *argv)

@@ -797,6 +797,107 @@ class TestGrid:
             counts = collections.Counter(name for name, _, _ in verify._grid_points(cfg))
             assert counts == {name: n[col] for name, n in expected.items()}
         assert [sum(n[col] for n in expected.values()) for col in range(3)] == [8824, 866, 648]
+        for cfg in (b, c, d):
+            self._assert_sizes_are_the_walked_counts(cfg)
+
+    @staticmethod
+    def _assert_sizes_are_the_walked_counts(cfg):
+        # each block's closed-form size is the number of points it walks
+        for name in cfg.identities:
+            for size, points, _ in verify._BLOCKS[name](cfg):
+                assert size == sum(1 for _ in points)
+        assert verify._grid_size(cfg) == sum(1 for _ in verify._grid_points(cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries(_fields))
+    def test_grid_size_is_the_walked_count(self, fields):
+        self._assert_sizes_are_the_walked_counts(GridConfig(**fields))
+
+    def test_grid_over_the_cap_is_refused_unevaluated(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        for name in ("_vajda_rows", "_point_rows", "_table_product", "ProcessPoolExecutor"):
+            monkeypatch.setattr(verify, name, unreachable)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MERSOCT_MAX_WORKERS", workers)
+            # 2 * 2 * 2**126 points, counted and refused at once
+            cfg = GridConfig(ks=(2,), n_max=1, ij_max=2**63 - 1, identities=("vajda",))
+            with pytest.raises(ConfigError, match=r"^the grid has 3402823669\d+ points, "
+                                                  r"more than the 10,000,000 a run may take$"):
+                run_grid(cfg)
+
+    def test_grid_at_the_cap_runs(self, monkeypatch):
+        cfg = GridConfig(ks=(2,), n_max=2, ij_max=1, identities=("vajda",))  # 24 points
+        monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        monkeypatch.setattr(verify, "_GRID_MAX", 24)
+        assert len(run_grid(cfg).results) == 24
+        monkeypatch.setattr(verify, "_GRID_MAX", 23)
+        with pytest.raises(ConfigError, match="^the grid has 24 points, more than the 23 "):
+            run_grid(cfg)
+
+    def test_a_slice_evaluates_only_its_points(self, monkeypatch):
+        # a pool worker enters its first and last blocks at an offset:
+        # every cut of the grid gives the serial rows, and each side of it
+        # evaluates only its own points
+        cfg = GridConfig(ks=(1, 2), n_max=2, ij_max=1)
+        whole = run_grid(cfg).results
+        size = len(whole)
+        evaluated = []
+        vajda_rows, evaluate = verify._vajda_rows, verify._evaluate_point
+
+        def recording(identity, family, k, specialized, forms):
+            forms = (evaluated.append(form[0]) or form for form in forms)
+            return vajda_rows(identity, family, k, specialized, forms)
+
+        monkeypatch.setattr(verify, "_vajda_rows", recording)
+        monkeypatch.setattr(verify, "_evaluate_point",
+                            lambda point: evaluated.append(point[2]) or evaluate(point))
+        for cut in range(size + 1):
+            for lo, hi in ((0, cut), (cut, size)):
+                evaluated.clear()
+                assert tuple(verify._rows(cfg, lo, hi)) == whole[lo:hi]
+                assert evaluated == [r.params for r in whole[lo:hi]]
+
+    def test_a_product_block_runs_one_guard(self, monkeypatch):
+        # one guard per block (identity, family, k, pass), on its largest
+        # counts; the other identities guard each point in its check
+        calls = []
+        guard = verify._check_common
+
+        def counting(family, k, specialized, **counts):
+            calls.append((family, k, specialized, counts))
+            return guard(family, k, specialized, **counts)
+
+        monkeypatch.setattr(verify, "_check_common", counting)
+        monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1, identities=("vajda", "binet"))
+        run_grid(cfg)
+        assert calls[:6] == [(family, k, sp, {"n": 3, "i": 1, "j": 1}) for family in (M, ML)
+                             for k, sp in ((1, False), (1, True), (2, False))]
+        assert len(calls) == 6 + 2 * 12
+        # the library's call guards its one point
+        calls.clear()
+        check_vajda(M, 2, 5, 0, 3)
+        assert calls == [(M, 2, False, {"n": 5, "i": 0, "j": 3})]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_every_row_is_its_public_check(self, monkeypatch, workers):
+        # the grid's blocks and the library's checks give the same row,
+        # residual included, under the true table, a sign flip and an
+        # index swap; serially and from a pool's workers
+        cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MERSOCT_MAX_WORKERS", workers)
+        for table, fails in ((contextlib.nullcontext(), False), (corrupted_basis_table(), True),
+                             (TestCorruptedTable._index_swapped(3, 2, 5), True)):
+            with table:
+                report = run_grid(cfg)
+                checks = [verify._CHECKS[name](family, **params)
+                          for name, family, params in verify._grid_points(cfg)]
+            assert report.results == tuple(checks)
+            assert (report.summary["FAIL"] > 0) is fails
 
     def test_malformed_config_rejected(self, default_digit_limit):
         for kwargs in (
