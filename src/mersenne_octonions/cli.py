@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from contextlib import closing, contextmanager, nullcontext, suppress
@@ -43,6 +44,20 @@ _RANGE_MAX = sys.maxsize
 
 # bench times each evaluator this many times at most per (k, n)
 _REPEAT_MAX = 1000
+
+# seq, oct and bench take no value of more digits than this, over 40
+# times the bound below at n = 200,000 and k = 5 (235,220 digits)
+_DIGITS_MAX = 10_000_000
+
+
+def _check_digits(command: str, k: int, n: int):
+    """Refuse, before any work, a run whose largest value, at k and n, may
+    pass _DIGITS_MAX digits.  Both sequences are bounded by (3k)^n from
+    n = 1 on, so a value has at most n*log10(3k) + 1 digits."""
+    digits = int(n * math.log10(3 * k)) + 1
+    if digits > _DIGITS_MAX:
+        raise SystemExit2(f"{command} reaches the value at k={k}, n={n}, of up to {digits:,} "
+                          f"digits, more than the {_DIGITS_MAX:,} a run may take")
 
 
 def _parse_range(spec: str, what: str, lo: int) -> range:
@@ -100,6 +115,7 @@ def _output(path: str | None):
 def cmd_seq(args) -> int:
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
+    _check_digits("seq", ks[-1], ns[-1])
     with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["k", "n", "mersenne", "mersenne_lucas"])
@@ -113,6 +129,8 @@ def cmd_seq(args) -> int:
 def cmd_oct(args) -> int:
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
+    # row n holds terms n..n+7
+    _check_digits("oct", ks[-1], ns[-1] + 7)
     with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["family", "k", "n"] + [f"e{r}" for r in range(8)])
@@ -185,6 +203,7 @@ def cmd_bench(args) -> int:
         raise SystemExit2(f"bench n values must lie in 0..{_RANGE_MAX}")
     if not 1 <= args.repeat <= _REPEAT_MAX:
         raise SystemExit2(f"--repeat must lie in 1..{_REPEAT_MAX}, got {args.repeat}")
+    _check_digits("bench", ks[-1], max(ns))
     with _output(args.output) as out:
         w = csv.writer(out)
         w.writerow(["k", "n", "method", "nanoseconds", "digits"])

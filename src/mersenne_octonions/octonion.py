@@ -92,8 +92,7 @@ _product = _compile_product((SIGN, INDEX))
 
 
 def _active_product():
-    """The compiled product in force: its identity keys caches of table
-    products, so that each table gets its own entries."""
+    """The compiled product in force."""
     return _product
 
 
@@ -133,7 +132,7 @@ def corrupted_basis_table(i: int = 1, j: int = 2):
     try:
         yield
     finally:
-        _product = saved  # the same object, so caches keyed by it stay valid
+        _product = saved  # the very object it replaced, not a recompile
 
 
 _setattr = object.__setattr__

@@ -24,12 +24,12 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from operator import sub
 from typing import NamedTuple
 
 from . import __version__
-from .octonion import Octonion, _active_product, active_basis_table, use_basis_table
+from .octonion import Octonion, active_basis_table, use_basis_table
 from .oct_sequences import (_vajda_closed, oct_seq, oct_seq_closed, oct_seq_conj,
                             oct_seq_norm_sq_closed)
 from .sequences import Family, _no_digit_limit, decimal_repr, decimal_str
@@ -181,9 +181,11 @@ _CHECKS = {}
 # name -> points(cfg), the check's keyword dicts beyond family on the grid
 _GRIDS = {}
 # name -> blocks(cfg): the identity's grid, one family's, as (size,
-# points, rows) blocks in grid order, where points iterates over the
+# points, k, rows) blocks in grid order, where points iterates over the
 # block's points, size counts them in closed form, and rows(family,
-# points) evaluates any run of them
+# points, table) evaluates any run of them as (status, row text) pairs;
+# a product block takes its products S[a]S[b] at k from table, which the
+# blocks of one (family, k) share, and any other block has k None
 _BLOCKS = {}
 
 _ORDERINGS = ("lr", "rl")
@@ -196,14 +198,17 @@ def _identity(points, size):
     def register(check):
         name = check.__name__.removeprefix("check_")
         _CHECKS[name], _GRIDS[name] = check, points
-        _BLOCKS[name] = lambda cfg: [(size(cfg), _GRIDS[name](cfg), partial(_point_rows, name))]
+        _BLOCKS[name] = lambda cfg: [(size(cfg), _GRIDS[name](cfg), None,
+                                      partial(_point_rows, name))]
         return check
     return register
 
 
-def _point_rows(name, family, points):
-    """The rows of identity name at points, one check_<name> call each."""
-    return (_evaluate_point((name, family, params)) for params in points)
+def _point_rows(name, family, points, table):
+    """The rows of identity name at points, one check_<name> call each;
+    such a block takes no product from table."""
+    results = (_evaluate_point((name, family, params)) for params in points)
+    return ((r.status, r.to_json()) for r in results)
 
 
 def _product_identity(forms, points, size, largest):
@@ -211,19 +216,19 @@ def _product_identity(forms, points, size, largest):
     evaluated by _vajda_rows a block (family, k, pass) at a time: in the
     pass (k, n_hi, specialized), forms(k, specialized, points(n_hi,
     ij_max)) maps the block's size(n_hi, ij_max) points onto Vajda's
-    identity, and the block's guard takes largest(n_hi, ij_max) as its
-    counts."""
+    identity, the block reads the products at k, and its guard takes
+    largest(n_hi, ij_max) as its counts."""
     def register(check):
         name = check.__name__.removeprefix("check_")
 
         def blocks(cfg):
             for k, n_hi, sp in _passes(cfg):
                 ij = cfg.ij_max
-                yield (size(n_hi, ij), forms(k, sp, points(n_hi, ij)),
+                yield (size(n_hi, ij), forms(k, sp, points(n_hi, ij)), k,
                        partial(_block_rows, name, k, sp, largest(n_hi, ij)))
 
         _CHECKS[name], _BLOCKS[name] = check, blocks
-        _GRIDS[name] = lambda cfg: (form[0] for _, block, _ in blocks(cfg) for form in block)
+        _GRIDS[name] = lambda cfg: (form[0] for _, block, _, _ in blocks(cfg) for form in block)
         return check
     return register
 
@@ -276,22 +281,6 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 # Products taken in the reverse order are Vajda's identity in the
 # opposite algebra, where alpha beta and beta alpha trade places.
 
-# The left sides take their products S[a]S[b] by the table from one
-# cache, keyed by the compiled product in force, so that the mutation
-# hook's table gets its own entries.  The default grid takes 70,696
-# products, 10,600 of them distinct.  Grid order (identity, family, k,
-# n), which each block keeps, holds the products one block needs close
-# together, so 1,024 entries miss 17,530 times, and twice as many would
-# still miss 17,218 times; holding all 10,600 raised a run's peak memory
-# by some 7 MB.
-
-@lru_cache(maxsize=1024, typed=True)
-def _table_product(family: Family, k: int, a: int, b: int, product) -> tuple:
-    """The coordinates of oct_seq(family, k, a) * oct_seq(family, k, b);
-    product, the compiled product in force, is only part of the key."""
-    return (oct_seq(family, k, a) * oct_seq(family, k, b)).coords
-
-
 # the note of a block (identity, family, specialized) that has one
 _NOTES = {
     ("cassini", Family.MERSENNE_LUCAS, True):
@@ -299,33 +288,51 @@ _NOTES = {
 }
 
 
-def _block_rows(identity, k, specialized, counts, family, forms):
+def _block_rows(identity, k, specialized, counts, family, forms, table):
     """The rows of a product identity's block at forms, after the one
     guard the block runs, on its largest counts."""
     _check_common(family, k, specialized, **counts)
-    return _vajda_rows(identity, family, k, specialized, forms)
+    return _vajda_rows(identity, family, k, specialized, forms, table)
 
 
-def _vajda_rows(identity, family, k, specialized, forms):
+def _vajda_rows(identity, family, k, specialized, forms, table):
     """The rows of product identity at forms, points of its block (family,
-    k, specialized) mapped onto Vajda's identity: per point (params, a, b,
-    c, d, core, s), S[a]S[b] - S[c]S[d], by the table in force, against s
-    m y, where (m, y) = _vajda_closed(family, k, *core).  The compiled
-    product, the note and each core's (m, y) are taken once a block.  The
-    sides are compared as coordinate tuples, so that a PASS builds no
-    octonion."""
-    product, closed = _active_product(), {}
+    k, specialized) mapped onto Vajda's identity, as (status, row text):
+    per point (params, a, b, c, d, core, s), S[a]S[b] - S[c]S[d] against
+    s m y, where (m, y) = _vajda_closed(family, k, *core).  table maps
+    (a, b) to the coordinates of S[a]S[b], taken by the table in force
+    through Octonion.__mul__ when first asked for.  The row frame, the
+    note and each core's (m, y) are taken once a block.  The sides are
+    compared as coordinate tuples: a PASS builds no octonion and is its
+    params in the frame, and only a FAIL builds its CheckResult."""
+    closed = {}
     note = _NOTES.get((identity, family, specialized), "")
+    head, tail = _frame(identity, family, note, Status.PASS)
+
+    def product(a, b):
+        xy = table[a, b] = (oct_seq(family, k, a) * oct_seq(family, k, b)).coords
+        return xy
+
     for params, a, b, c, d, core, s in forms:
         try:
             m, y = closed[core]
         except KeyError:
             m, y = closed[core] = _vajda_closed(family, k, *core)
-        lhs = tuple(map(sub, _table_product(family, k, a, b, product),
-                        _table_product(family, k, c, d, product)))
+        lhs = tuple(map(sub, table.get((a, b)) or product(a, b),
+                        table.get((c, d)) or product(c, d)))
         s *= m
         rhs = tuple([x * s for x in y])
-        yield _result(identity, family, params, lhs, rhs, note)
+        if lhs == rhs:
+            yield Status.PASS, head + _encode(params) + tail
+        else:
+            yield Status.FAIL, _result(identity, family, params, lhs, rhs, note).to_json()
+
+
+def _vajda_check(identity, family, k, specialized, forms) -> CheckResult:
+    """The CheckResult of product identity at the one point of forms, by
+    the grid's evaluator with a fresh table: its row, read back."""
+    ((_, text),) = _vajda_rows(identity, family, k, specialized, forms, {})
+    return _decode_rows(text)[0]
 
 
 def _catalan_forms(k, specialized, points):
@@ -352,7 +359,7 @@ def check_catalan(family: Family, k: int, n: int, r: int,
     if r > n:
         raise ParamError(f"need 0 <= r <= n, got r={decimal_str(r)}, n={decimal_str(n)}")
     forms = _catalan_forms(k, specialized, [(n, r, ordering)])
-    return next(_vajda_rows("catalan", family, k, specialized, forms))
+    return _vajda_check("catalan", family, k, specialized, forms)
 
 
 def _cassini_forms(k, specialized, points):
@@ -384,7 +391,7 @@ def check_cassini(family: Family, k: int, n: int,
     if n < 1:
         raise ParamError(f"Cassini needs n >= 1, got n={n}")
     forms = _cassini_forms(k, specialized, [(n, ordering)])
-    return next(_vajda_rows("cassini", family, k, specialized, forms))
+    return _vajda_check("cassini", family, k, specialized, forms)
 
 
 def _docagne_forms(k, specialized, points):
@@ -405,7 +412,7 @@ def check_docagne(family: Family, k: int, n: int, r: int,
     """S[r]S[n+1] - S[r+1]S[n] against the closed right side."""
     _check_common(family, k, specialized, n=n, r=r)
     forms = _docagne_forms(k, specialized, [(n, r)])
-    return next(_vajda_rows("docagne", family, k, specialized, forms))
+    return _vajda_check("docagne", family, k, specialized, forms)
 
 
 def _vajda_forms(k, specialized, points):
@@ -424,7 +431,7 @@ def check_vajda(family: Family, k: int, n: int, i: int, j: int,
     """S[n+i]S[n+j] - S[n]S[n+i+j] against the closed right side."""
     _check_common(family, k, specialized, n=n, i=i, j=j)
     forms = _vajda_forms(k, specialized, [(n, i, j)])
-    return next(_vajda_rows("vajda", family, k, specialized, forms))
+    return _vajda_check("vajda", family, k, specialized, forms)
 
 
 # --- Generating function and finite sum ------------------------------
@@ -582,19 +589,20 @@ _GRID_MAX = 10**7
 def _grid_size(cfg: GridConfig) -> int:
     """The number of grid points, summed over the blocks' closed forms."""
     return sum(size for name in cfg.identities for _ in cfg.families
-               for size, _, _ in _BLOCKS[name](cfg))
+               for size, *_ in _BLOCKS[name](cfg))
 
 
 def _rows(cfg: GridConfig, lo: int, hi: int):
-    """The CheckResults of grid points lo to hi - 1, in grid order.  A
-    block is entered at an offset by slicing its points, so no point
-    outside the slice is evaluated."""
+    """The blocks that hold grid points lo to hi - 1, in grid order, as
+    (identity, family, k, points, rows), each block's points sliced to
+    the slice: a block is entered at an offset, so no point outside the
+    slice is evaluated."""
     start = 0
     for name in cfg.identities:
         for family in cfg.families:
-            for size, points, rows in _BLOCKS[name](cfg):
+            for size, points, k, rows in _BLOCKS[name](cfg):
                 if lo < start + size and start < hi:
-                    yield from rows(family, islice(points, max(lo - start, 0), hi - start))
+                    yield name, family, k, islice(points, max(lo - start, 0), hi - start), rows
                 start += size
 
 
@@ -604,17 +612,29 @@ def _tally(r: CheckResult) -> tuple:
 
 
 def _evaluate_slice(job) -> tuple:
-    """A pool worker's share of the grid, points lo to hi - 1 of cfg's:
-    their rows as JSON text, joined by ",\n", and their Counter of
-    _tally keys.  The worker generates its points itself, entering its
-    first and last blocks at an offset, so that no point crosses the
-    pool and none outside the slice is evaluated."""
+    """Grid points lo to hi - 1 of cfg's, a serial run's whole grid or a
+    pool worker's share: their rows' JSON text, one string of rows joined
+    by ",\n" a block, in grid order, and their Counter of _tally keys.
+    The product blocks are evaluated grouped by (family, k), both k = 1
+    passes in one group, and each group takes every product S[a]S[b]
+    once, from one table dropped when the group ends; any other block
+    is a group of its own.  The slice's points are generated here, its
+    first and last blocks entered at an offset, so that no point crosses
+    the pool and none outside the slice is evaluated."""
     cfg, lo, hi = job
-    counts, rows = Counter(), []
-    for r in _rows(cfg, lo, hi):
-        counts[_tally(r)] += 1
-        rows.append(r.to_json())
-    return ",\n".join(rows), counts
+    groups = {}
+    for i, (name, family, k, points, rows) in enumerate(_rows(cfg, lo, hi)):
+        groups.setdefault(i if k is None else (family, k), []).append(
+            (i, name, family, points, rows))
+    texts, counts = {}, Counter()
+    for blocks in groups.values():
+        table = {}
+        for i, name, family, points, rows in blocks:
+            statuses, lines = zip(*rows(family, points, table))
+            texts[i] = ",\n".join(lines)
+            for status, n in Counter(statuses).items():
+                counts[name, family, status] += n
+    return [texts[i] for i in range(len(texts))], counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,7 +643,7 @@ class VerificationReport:
     config: GridConfig
     discrepancies = DISCREPANCIES  # a class constant, not a field
 
-    # by value, so that a pool's _PoolReport equals its serial twin
+    # by value, so that a run's _TextReport equals the report of its results
     def __eq__(self, other):
         if not isinstance(other, VerificationReport):
             return NotImplemented
@@ -669,8 +689,10 @@ class VerificationReport:
 
     def json_chunks(self):
         """The to_json text in pieces, so that a writer never holds all of
-        it: the header up to the results, then one block of rows a piece,
-        then the end."""
+        it: the header up to the results, then one block of rows a piece
+        (a grid block's rows in run_grid's report, kept as text since the
+        run; one row, encoded when asked for, in a report built from its
+        results), then the end."""
         yield f'{_encode(self._header())[:-1]},"results":[\n'
         for i, block in enumerate(self._row_blocks()):
             yield (",\n" if i else "") + block
@@ -695,19 +717,21 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-class _PoolReport(VerificationReport):
-    """A pool run's report, built from its workers' shares in grid order:
-    the summed counts give its summary and table, the workers' text its
-    rows, and results is decoded from that text when first read."""
+class _TextReport(VerificationReport):
+    """run_grid's report, built from its slices' shares in grid order:
+    the summed counts give its summary and table, the blocks of row text
+    its rows, and results is decoded from that text, a block at a time,
+    when first read."""
 
     def __init__(self, config: GridConfig, shares):
         blocks, counts = zip(*shares)
         # the dataclass is frozen: fill the instance as its __init__ would
-        vars(self).update(config=config, _blocks=blocks, _counts=sum(counts, Counter()))
+        vars(self).update(config=config, _blocks=tuple(chain.from_iterable(blocks)),
+                          _counts=sum(counts, Counter()))
 
     @cached_property
     def results(self) -> tuple:
-        return _decode_rows(",\n".join(self._blocks))
+        return tuple(chain.from_iterable(map(_decode_rows, self._blocks)))
 
     def _row_blocks(self):
         return self._blocks
@@ -735,12 +759,14 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
     Grid points are independent pure evaluations.  The grid's size is
     counted first, in closed form: a grid with no point, or with more
     than _GRID_MAX, is a ConfigError before any point is evaluated.  A
-    serial run evaluates the grid a block at a time and keeps the
-    results.  With MERSOCT_MAX_WORKERS > 1 the grid is cut into one
-    contiguous slice per process, at most one per CPU and one per point;
-    each worker evaluates its slice and sends back only its rows' JSON
-    text and their counts, which pool.map keeps in grid order.  So the
-    report does not depend on the worker count.
+    serial run evaluates the whole grid as one slice, by
+    _evaluate_slice.  With MERSOCT_MAX_WORKERS > 1 the grid is cut into
+    one contiguous slice per process, at most one per CPU and one per
+    point; each worker evaluates its slice by the same _evaluate_slice
+    and sends back only its rows' JSON text and their counts, which
+    pool.map keeps in grid order.  Either way the report is kept as
+    that text and those counts, so it does not depend on the worker
+    count.
     """
     global ProcessPoolExecutor
     cfg = cfg or GridConfig()
@@ -764,5 +790,6 @@ def run_grid(cfg: GridConfig | None = None) -> VerificationReport:
                                  initializer=use_basis_table,
                                  initargs=(active_basis_table(),)) as pool:
             shares = tuple(pool.map(_evaluate_slice, slices, chunksize=1))
-        return _PoolReport(cfg, shares)
-    return VerificationReport(tuple(_rows(cfg, 0, size)), cfg)
+    else:
+        shares = [_evaluate_slice((cfg, 0, size))]
+    return _TextReport(cfg, shares)

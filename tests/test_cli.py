@@ -4,6 +4,7 @@ import collections
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -421,6 +422,69 @@ class TestBench:
         code, out, _ = run_cli(capsys, "bench", "--k", "1", "--n-values", "5",
                                "--repeat", str(cli._REPEAT_MAX))
         assert code == 0 and len(out.splitlines()) == 3
+
+
+class TestOutputSize:
+    # seq, oct and bench refuse, before any work, a run whose largest
+    # value may pass 10,000,000 digits; the huge run itself never starts
+
+    class Started(Exception):
+        pass
+
+    @pytest.fixture
+    def evaluators(self, monkeypatch):
+        from mersenne_octonions import cli
+
+        def started(*args):
+            raise self.Started
+
+        for name in ("seq_terms", "seq_value", "seq_fast"):
+            monkeypatch.setattr(cli, name, started)
+        return cli
+
+    @staticmethod
+    def _last_accepted(k):
+        # the largest n whose value has at most n*log10(3k) + 1 <= 10**7 digits
+        n = int((10**7 - 1) / math.log10(3 * k))
+        while int((n + 1) * math.log10(3 * k)) + 1 <= 10**7:
+            n += 1
+        return n
+
+    @pytest.mark.parametrize("command, argv, offset", [
+        ("seq", ("--k", "1..2", "--n", "{n}"), 0),
+        # an oct row n holds the terms n..n+7
+        ("oct", ("--k", "1..2", "--n", "5..{n}"), 7),
+        ("bench", ("--k", "1..2", "--n-values", "3,{n}", "--repeat", "1"), 0),
+    ])
+    def test_refused_past_the_cap(self, capsys, evaluators, command, argv, offset):
+        assert evaluators._DIGITS_MAX == 10**7
+        last = self._last_accepted(2) - offset
+        for n in (last + 1, 2**63 - 1 - offset):
+            code, out, err = run_cli(capsys, command, *(a.format(n=n) for a in argv))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {command} reaches the value at k=2, n={n + offset}, ")
+            assert err.count("\n") == 1
+        # the largest n under the cap starts its run
+        with pytest.raises(self.Started):
+            run_cli(capsys, command, *(a.format(n=last) for a in argv))
+
+    @pytest.mark.parametrize("argv", [
+        ("oct", "--k", "2", "--n", "9223372036854775800..9223372036854775807"),
+        ("bench", "--n-values", "9223372036854775807", "--repeat", "1"),
+    ])
+    def test_inputs_that_ran_until_a_timeout(self, capsys, evaluators, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_the_bound_holds(self):
+        # both sequences stay within n*log10(3k) + 1 digits
+        from mersenne_octonions.sequences import Family, seq_terms
+
+        for family in Family:
+            for k in range(1, 7):
+                for n, x in zip(range(400), seq_terms(family, k, 0)):
+                    assert len(str(abs(x))) <= int(n * math.log10(3 * k)) + 1, (family, k, n)
 
 
 def terms(x0, x1, k, n_lo, n_hi):

@@ -494,29 +494,38 @@ class TestRightSideCores:
         # measured from cold caches: the default grid, and a verify at
         # large n; each bound holds twice that
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        products = collections.Counter()
+        mul = Octonion.__mul__
+
+        def counting(x, y):
+            products["mul"] += 1
+            return mul(x, y)
+
+        monkeypatch.setattr(Octonion, "__mul__", counting)
         bounded = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
                    oct_sequences._vajda_y]
-        cold = bounded + [verify._table_product]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
                                              identities=("binet", "norm_closed", "cassini"))):
-            for cache in cold:
+            for cache in bounded:
                 cache.cache_clear()
+            products.clear()
             run_grid(cfg)
             if cfg == GridConfig():
                 # the grid fills exactly the keys derived above
                 assert oct_sequences._vajda_y.cache_info().currsize == len(keys)
-                # every left-side product goes through the product cache:
-                # two per Catalan, Cassini, d'Ocagne and Vajda point, of
-                # which 10,600 are distinct.  Grid order keeps each block's
-                # products close together, so 1,024 entries miss 17,530
-                # times; a grid order that lost that locality would miss
-                # far more often
-                products = verify._table_product.cache_info()
-                assert products.hits + products.misses == 70_696
-                assert products.misses <= 21_000
-                assert products.maxsize == 1024
+                # each distinct left-side product is taken once: the
+                # 10,600 products S[a]S[b] that the Catalan, Cassini,
+                # d'Ocagne and Vajda points of one (family, k) share, and
+                # the norm's 250 products S times its conjugate; the
+                # 70,696 that the points ask for would be far more
+                assert products["mul"] == 10_850
             needed = [max(n, c.cache_info().currsize) for n, c in zip(needed, bounded)]
+        # so too under the mutation hook, whose table is the one in force
+        products.clear()
+        with corrupted_basis_table():
+            assert run_grid().failed
+        assert products["mul"] == 10_850
         # alpha_beta: one per k; _vajda_y: the 250 keys derived above
         assert needed == [490, 362, 5, 250]
         for cache, n in zip(bounded, needed):
@@ -671,6 +680,16 @@ class TestCorruptedTable:
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == "a68409338dc26b6538b4b77cf085e9ab99528a72533a4f54f8b053defce5014c"
 
+    def test_corrupted_default_report_digest(self, monkeypatch):
+        # the whole default grid under the hook: its FAIL rows cross every
+        # group of blocks (family, k), pinned as CI pins the same run
+        monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        with corrupted_basis_table():
+            report = run_grid()
+        assert report.summary == {"PASS": 4320, "FAIL": 31826, "SKIPPED": 50}
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "f9b4916ff543c2e6afcb043fdbec0d1205121d300b241b9850bdee96d9193585"
+
 
 # Row text for the frame: JSON's specials, %, non-ASCII and controls.
 _row_text = st.text(st.one_of(st.sampled_from('%"\\{}:,\x00\n\x1f\x7f\u00e9\u20ac\U0001d11e'),
@@ -732,8 +751,7 @@ class TestRowText:
 
     def test_caches_are_bounded_and_at_most_half_full(self, monkeypatch):
         # every lru_cache of the package has a bound, and a cold default
-        # run fills at most half of it; the left sides' product cache is
-        # exempt, as its comment explains
+        # run fills at most half of it
         modules = [importlib.import_module(f"mersenne_octonions.{m.name}")
                    for m in pkgutil.iter_modules(mersenne_octonions.__path__)]
         caches = {f"{module.__name__}.{name}": fn for module in modules
@@ -745,8 +763,7 @@ class TestRowText:
         for name, cache in caches.items():
             assert cache.cache_info().maxsize is not None, name
         assert sorted(name.rsplit(".", 1)[1] for name in caches) == [
-            "_frame", "_lam_pow", "_table_product", "_vajda_y", "alpha_beta", "oct_seq"]
-        del caches["mersenne_octonions.verify._table_product"]
+            "_frame", "_lam_pow", "_vajda_y", "alpha_beta", "oct_seq"]
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         for cache in caches.values():
             cache.cache_clear()
@@ -804,7 +821,7 @@ class TestGrid:
     def _assert_sizes_are_the_walked_counts(cfg):
         # each block's closed-form size is the number of points it walks
         for name in cfg.identities:
-            for size, points, _ in verify._BLOCKS[name](cfg):
+            for size, points, *_ in verify._BLOCKS[name](cfg):
                 assert size == sum(1 for _ in points)
         assert verify._grid_size(cfg) == sum(1 for _ in verify._grid_points(cfg))
 
@@ -817,7 +834,7 @@ class TestGrid:
         def unreachable(*args, **kwargs):
             raise AssertionError("a point was evaluated")
 
-        for name in ("_vajda_rows", "_point_rows", "_table_product", "ProcessPoolExecutor"):
+        for name in ("_vajda_rows", "_point_rows", "_evaluate_slice", "ProcessPoolExecutor"):
             monkeypatch.setattr(verify, name, unreachable)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         for workers in ("1", "2"):
@@ -839,17 +856,22 @@ class TestGrid:
 
     def test_a_slice_evaluates_only_its_points(self, monkeypatch):
         # a pool worker enters its first and last blocks at an offset:
-        # every cut of the grid gives the serial rows, and each side of it
-        # evaluates only its own points
+        # every cut of the grid gives the serial rows and counts, and each
+        # side of it evaluates its own points, each once, and no other
         cfg = GridConfig(ks=(1, 2), n_max=2, ij_max=1)
         whole = run_grid(cfg).results
         size = len(whole)
         evaluated = []
         vajda_rows, evaluate = verify._vajda_rows, verify._evaluate_point
 
-        def recording(identity, family, k, specialized, forms):
+        def recording(identity, family, k, specialized, forms, table):
             forms = (evaluated.append(form[0]) or form for form in forms)
-            return vajda_rows(identity, family, k, specialized, forms)
+            return vajda_rows(identity, family, k, specialized, forms, table)
+
+        def points(params):
+            # a product block groups its points by (family, k), so they
+            # are compared as a multiset
+            return collections.Counter(tuple(sorted(p.items())) for p in params)
 
         monkeypatch.setattr(verify, "_vajda_rows", recording)
         monkeypatch.setattr(verify, "_evaluate_point",
@@ -857,8 +879,11 @@ class TestGrid:
         for cut in range(size + 1):
             for lo, hi in ((0, cut), (cut, size)):
                 evaluated.clear()
-                assert tuple(verify._rows(cfg, lo, hi)) == whole[lo:hi]
-                assert evaluated == [r.params for r in whole[lo:hi]]
+                blocks, counts = verify._evaluate_slice((cfg, lo, hi))
+                assert verify._decode_rows(",\n".join(blocks)) == whole[lo:hi]
+                assert counts == collections.Counter(map(verify._tally, whole[lo:hi]))
+                assert points(evaluated) == points(r.params for r in whole[lo:hi])
+                assert len(evaluated) == hi - lo
 
     def test_a_product_block_runs_one_guard(self, monkeypatch):
         # one guard per block (identity, family, k, pass), on its largest
@@ -963,13 +988,25 @@ class TestGrid:
         assert json.loads(report.to_json())["results"] == []
 
     def test_json_is_the_to_dict_document_in_chunks(self):
-        # the header, one chunk per row, then the end
+        # the header, one chunk per grid block, then the end
+        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         with corrupted_basis_table():
-            report = run_grid(GridConfig(ks=(1, 2), n_max=3, ij_max=1))
-        chunks = list(report.json_chunks())
-        assert len(chunks) == len(report.results) + 2
+            report = run_grid(cfg)
+        header, *blocks, end = chunks = list(report.json_chunks())
+        assert header.endswith('"results":[\n') and end == "\n]}\n"
+        assert len(blocks) == sum(size > 0 for name in cfg.identities for _ in cfg.families
+                                  for size, *_ in verify._BLOCKS[name](cfg))
+        rows = [verify._decode_rows(block.removeprefix(",\n")) for block in blocks]
+        assert sum(rows, ()) == report.results
+        for block in rows:
+            assert len({(r.identity, r.family) for r in block}) == 1
         assert "".join(chunks) == report.to_json()
         assert json.loads(report.to_json()) == json.loads(json.dumps(report.to_dict()))
+        # a report built from its results writes one chunk per row
+        library = VerificationReport(report.results, cfg)
+        chunks = list(library.json_chunks())
+        assert len(chunks) == len(report.results) + 2
+        assert "".join(chunks) == report.to_json()
 
     def test_report_deterministic(self):
         cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2)
@@ -1112,7 +1149,11 @@ class TestGrid:
             # only a FAIL holds a residual; so the two reports are equal
             assert parallel.results == serial.results
             assert parallel == serial and serial == parallel
-            assert type(parallel) is not type(serial)
+            # one report type for 1 and N workers, equal to the report
+            # a library caller builds from the results
+            assert type(parallel) is type(serial)
+            library = VerificationReport(serial.results, serial.config)
+            assert library == parallel and library.to_json() == parallel.to_json()
             for r in parallel.results:
                 assert (r.residual is None) is (r.status is not Status.FAIL)
             assert parallel.to_dict() == serial.to_dict()
