@@ -91,11 +91,6 @@ def _compile_product(table: tuple):
 _product = _compile_product((SIGN, INDEX))
 
 
-def _active_product():
-    """The compiled product in force."""
-    return _product
-
-
 def active_basis_table() -> tuple:
     """The (sign, index) basis table products currently use."""
     return _product.table

@@ -593,15 +593,15 @@ def _grid_size(cfg: GridConfig) -> int:
 
 
 def _rows(cfg: GridConfig, lo: int, hi: int):
-    """The blocks that hold grid points lo to hi - 1, in grid order, as
-    (identity, family, k, points, rows), each block's points sliced to
-    the slice: a block is entered at an offset, so no point outside the
-    slice is evaluated."""
+    """The blocks that hold any of grid points lo to hi - 1, in grid
+    order, as (identity, family, k, points, rows), each block's points
+    sliced to the slice: a block is entered at an offset, so no point
+    outside the slice is evaluated."""
     start = 0
     for name in cfg.identities:
         for family in cfg.families:
             for size, points, k, rows in _BLOCKS[name](cfg):
-                if lo < start + size and start < hi:
+                if max(lo, start) < min(hi, start + size):
                     yield name, family, k, islice(points, max(lo - start, 0), hi - start), rows
                 start += size
 

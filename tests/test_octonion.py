@@ -308,24 +308,24 @@ class TestCorruptionHook:
         # e1 * e2 = +e3; row 1 already holds e4, at e1 * e4
         sign[1][2], index[1][2] = entry
         table = (tuple(map(tuple, sign)), tuple(map(tuple, index)))
-        in_force = octonion._active_product()
+        in_force = octonion._product
         with pytest.raises(ValueError, match="basis sign|index row"):
             use_basis_table(table)
-        assert octonion._active_product() is in_force
+        assert octonion._product is in_force
         # and so is a table without 8 rows
         with pytest.raises(ValueError, match="8 rows"):
             use_basis_table((table[0][:7], table[1][:7]))
-        assert octonion._active_product() is in_force
+        assert octonion._product is in_force
 
     def test_flips_one_product_and_restores(self):
         e1, e2 = Octonion.basis(1), Octonion.basis(2)
-        in_force = octonion._active_product()
+        in_force = octonion._product
         assert e1 * e2 == Octonion.basis(3)
         with corrupted_basis_table(1, 2):
-            assert octonion._active_product() is not in_force
+            assert octonion._product is not in_force
             assert e1 * e2 == Octonion.basis(3, -1)
         # the very object it replaced, not a recompile of its table
-        assert octonion._active_product() is in_force
+        assert octonion._product is in_force
         assert e1 * e2 == Octonion.basis(3)
 
     def test_worker_initializer_inside_the_hook(self, monkeypatch):
@@ -333,30 +333,30 @@ class TestCorruptionHook:
         # still restores the one it replaced
         monkeypatch.setattr(octonion, "_product", octonion._product)
         e1, e2 = Octonion.basis(1), Octonion.basis(2)
-        in_force = octonion._active_product()
+        in_force = octonion._product
         with corrupted_basis_table(1, 2):
             use_basis_table(active_basis_table())
             assert e1 * e2 == Octonion.basis(3, -1)
-        assert octonion._active_product() is in_force
+        assert octonion._product is in_force
         assert e1 * e2 == Octonion.basis(3)
         # and a fresh worker's product is compiled from the given table
         use_basis_table(active_basis_table())
-        assert octonion._active_product() is not in_force
+        assert octonion._product is not in_force
         assert active_basis_table() == (SIGN, INDEX)
 
     def test_nested_hooks_restore_in_turn(self):
         e1, e2, e3 = Octonion.basis(1), Octonion.basis(2), Octonion.basis(3)
-        outer = octonion._active_product()
+        outer = octonion._product
         with corrupted_basis_table(1, 2):
-            middle = octonion._active_product()
+            middle = octonion._product
             with corrupted_basis_table(2, 3):
                 # each hook flips the true table, so only the inner flip shows
                 assert e1 * e2 == Octonion.basis(3)
                 assert e2 * e3 == Octonion.basis(1, -1)
-            assert octonion._active_product() is middle
+            assert octonion._product is middle
             assert e1 * e2 == Octonion.basis(3, -1)
             assert e2 * e3 == Octonion.basis(1)
-        assert octonion._active_product() is outer
+        assert octonion._product is outer
 
     # -1 would count from the end (e7), True would be e1 and 8 an
     # IndexError; each must be a ValueError
@@ -364,9 +364,9 @@ class TestCorruptionHook:
     def test_out_of_range_basis_index_rejected(self, bad):
         with pytest.raises(ValueError, match="basis index"):
             Octonion.basis(bad)
-        in_force = octonion._active_product()
+        in_force = octonion._product
         for i, j in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match="basis index"):
                 with corrupted_basis_table(i, j):
                     pass
-            assert octonion._active_product() is in_force
+            assert octonion._product is in_force

@@ -988,25 +988,29 @@ class TestGrid:
         assert json.loads(report.to_json())["results"] == []
 
     def test_json_is_the_to_dict_document_in_chunks(self):
-        # the header, one chunk per grid block, then the end
-        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
-        with corrupted_basis_table():
-            report = run_grid(cfg)
-        header, *blocks, end = chunks = list(report.json_chunks())
-        assert header.endswith('"results":[\n') and end == "\n]}\n"
-        assert len(blocks) == sum(size > 0 for name in cfg.identities for _ in cfg.families
-                                  for size, *_ in verify._BLOCKS[name](cfg))
-        rows = [verify._decode_rows(block.removeprefix(",\n")) for block in blocks]
-        assert sum(rows, ()) == report.results
-        for block in rows:
-            assert len({(r.identity, r.family) for r in block}) == 1
-        assert "".join(chunks) == report.to_json()
-        assert json.loads(report.to_json()) == json.loads(json.dumps(report.to_dict()))
-        # a report built from its results writes one chunk per row
-        library = VerificationReport(report.results, cfg)
-        chunks = list(library.json_chunks())
-        assert len(chunks) == len(report.results) + 2
-        assert "".join(chunks) == report.to_json()
+        # the header, one chunk per grid block that has a point, then the
+        # end; the second config has an empty block, the generating
+        # function's at k = 4, between two others
+        for cfg in (GridConfig(ks=(1, 2), n_max=3, ij_max=1),
+                    GridConfig(ks=(4,), n_max=1, families=(M,),
+                               identities=("binet", "genfunc_ordinary", "norm_closed"))):
+            with corrupted_basis_table():
+                report = run_grid(cfg)
+            header, *blocks, end = chunks = list(report.json_chunks())
+            assert header.endswith('"results":[\n') and end == "\n]}\n"
+            assert len(blocks) == sum(size > 0 for name in cfg.identities for _ in cfg.families
+                                      for size, *_ in verify._BLOCKS[name](cfg))
+            rows = [verify._decode_rows(block.removeprefix(",\n")) for block in blocks]
+            assert sum(rows, ()) == report.results
+            for block in rows:
+                assert len({(r.identity, r.family) for r in block}) == 1
+            assert "".join(chunks) == report.to_json()
+            assert json.loads(report.to_json()) == json.loads(json.dumps(report.to_dict()))
+            # a report built from its results writes one chunk per row
+            library = VerificationReport(report.results, cfg)
+            chunks = list(library.json_chunks())
+            assert len(chunks) == len(report.results) + 2
+            assert "".join(chunks) == report.to_json()
 
     def test_report_deterministic(self):
         cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2)
