@@ -184,8 +184,9 @@ _GRIDS = {}
 # points, k, rows) blocks in grid order, where points iterates over the
 # block's points, size counts them in closed form, and rows(family,
 # points, table) evaluates any run of them as (status, row text) pairs;
-# a product block takes its products S[a]S[b] at k from table, which the
-# blocks of one (family, k) share, and any other block has k None
+# a product block takes its products S[a]S[b] at k from table, the
+# _Products that the blocks of one (family, k) share, and any other block
+# has k None and table None
 _BLOCKS = {}
 
 _ORDERINGS = ("lr", "rl")
@@ -295,33 +296,59 @@ def _block_rows(identity, k, specialized, counts, family, forms, table):
     return _vajda_rows(identity, family, k, specialized, forms, table)
 
 
-def _vajda_rows(identity, family, k, specialized, forms, table):
-    """The rows of product identity at forms, points of its block (family,
-    k, specialized) mapped onto Vajda's identity, as (status, row text):
-    per point (params, a, b, c, d, core, s), S[a]S[b] - S[c]S[d] against
-    s m y, where (m, y) = _vajda_closed(family, k, *core).  table maps
-    (a, b) to the coordinates of S[a]S[b], taken by the table in force
-    through Octonion.__mul__ when first asked for.  The row frame, the
-    note and each core's (m, y) are taken once a block.  The sides are
-    compared as coordinate tuples: a PASS builds no octonion and is its
-    params in the frame, and only a FAIL builds its CheckResult."""
-    closed = {}
-    note = _NOTES.get((identity, family, specialized), "")
-    head, tail = _frame(identity, family, note, Status.PASS)
+# A group's table holds at most this many products and is emptied when a
+# product past it is taken.  The default grid's largest group needs
+# 1,060, so it is never emptied there; an entry's size grows with n, so
+# the bound stays within about twice that need.
+_PRODUCTS_MAX = 2048
 
-    def product(a, b):
-        xy = table[a, b] = (oct_seq(family, k, a) * oct_seq(family, k, b)).coords
+
+class _Products(dict):
+    """{(a, b): coordinates of S[a]S[b]} at one (family, k), the left-side
+    products that the product blocks of one group share.  A product is
+    taken by the table in force, through Octonion.__mul__, when first
+    asked for."""
+
+    def __init__(self, family, k):
+        self.family, self.k = family, k
+
+    def __missing__(self, key):
+        if len(self) >= _PRODUCTS_MAX:
+            self.clear()
+        a, b = key
+        x, y = oct_seq(self.family, self.k, a), oct_seq(self.family, self.k, b)
+        xy = self[key] = (x * y).coords
         return xy
 
+
+def _vajda_sides(family, k, forms, table):
+    """Per point (params, a, b, c, d, core, s) of forms, a point of a
+    product identity mapped onto Vajda's: its params and its two sides as
+    coordinate tuples, S[a]S[b] - S[c]S[d] from table and s m y, where
+    (m, y) = _vajda_closed(family, k, *core) is taken once a core."""
+    closed = {}
     for params, a, b, c, d, core, s in forms:
         try:
             m, y = closed[core]
         except KeyError:
             m, y = closed[core] = _vajda_closed(family, k, *core)
-        lhs = tuple(map(sub, table.get((a, b)) or product(a, b),
-                        table.get((c, d)) or product(c, d)))
         s *= m
-        rhs = tuple([x * s for x in y])
+        yield params, tuple(map(sub, table[a, b], table[c, d])), tuple([x * s for x in y])
+
+
+def _note(identity, family, specialized) -> str:
+    return _NOTES.get((identity, family, specialized), "")
+
+
+def _vajda_rows(identity, family, k, specialized, forms, table):
+    """The rows of product identity at forms, points of its block (family,
+    k, specialized), as (status, row text), their sides by _vajda_sides
+    from the group's table.  The row frame and the note are taken once a
+    block: a PASS builds no octonion and is its params in the frame, and
+    only a FAIL builds its CheckResult."""
+    note = _note(identity, family, specialized)
+    head, tail = _frame(identity, family, note, Status.PASS)
+    for params, lhs, rhs in _vajda_sides(family, k, forms, table):
         if lhs == rhs:
             yield Status.PASS, head + _encode(params) + tail
         else:
@@ -330,9 +357,9 @@ def _vajda_rows(identity, family, k, specialized, forms, table):
 
 def _vajda_check(identity, family, k, specialized, forms) -> CheckResult:
     """The CheckResult of product identity at the one point of forms, by
-    the grid's evaluator with a fresh table: its row, read back."""
-    ((_, text),) = _vajda_rows(identity, family, k, specialized, forms, {})
-    return _decode_rows(text)[0]
+    the grid's _vajda_sides with a fresh table."""
+    ((params, lhs, rhs),) = _vajda_sides(family, k, forms, _Products(family, k))
+    return _result(identity, family, params, lhs, rhs, _note(identity, family, specialized))
 
 
 def _catalan_forms(k, specialized, points):
@@ -611,30 +638,40 @@ def _tally(r: CheckResult) -> tuple:
     return r.identity, r.family, r.status
 
 
+# a block's rows are joined this many at a time, so that a large block
+# never holds its rows' strings and their join at once; the default
+# grid's largest block has 2,025
+_PIECE_ROWS = 4096
+
+
 def _evaluate_slice(job) -> tuple:
     """Grid points lo to hi - 1 of cfg's, a serial run's whole grid or a
-    pool worker's share: their rows' JSON text, one string of rows joined
-    by ",\n" a block, in grid order, and their Counter of _tally keys.
-    The product blocks are evaluated grouped by (family, k), both k = 1
-    passes in one group, and each group takes every product S[a]S[b]
-    once, from one table dropped when the group ends; any other block
-    is a group of its own.  The slice's points are generated here, its
-    first and last blocks entered at an offset, so that no point crosses
-    the pool and none outside the slice is evaluated."""
+    pool worker's share: their rows' JSON text, in grid order, as strings
+    of up to _PIECE_ROWS rows of one block joined by ",\n", and their
+    Counter of _tally keys.  The product blocks are evaluated grouped by
+    (family, k), both k = 1 passes in one group, and each group takes
+    its products S[a]S[b] from one _Products table, bounded and dropped
+    when the group ends; any other block is a group of its own.  The
+    slice's points are generated here, its first and last blocks entered
+    at an offset, so that no point crosses the pool and none outside the
+    slice is evaluated."""
     cfg, lo, hi = job
     groups = {}
     for i, (name, family, k, points, rows) in enumerate(_rows(cfg, lo, hi)):
         groups.setdefault(i if k is None else (family, k), []).append(
-            (i, name, family, points, rows))
+            (i, name, family, k, points, rows))
     texts, counts = {}, Counter()
     for blocks in groups.values():
-        table = {}
-        for i, name, family, points, rows in blocks:
-            statuses, lines = zip(*rows(family, points, table))
-            texts[i] = ",\n".join(lines)
-            for status, n in Counter(statuses).items():
-                counts[name, family, status] += n
-    return [texts[i] for i in range(len(texts))], counts
+        _, _, family, k, _, _ = blocks[0]
+        table = None if k is None else _Products(family, k)
+        for i, name, family, _, points, rows in blocks:
+            pending, texts[i] = rows(family, points, table), []
+            while piece := tuple(islice(pending, _PIECE_ROWS)):
+                statuses, lines = zip(*piece)
+                texts[i].append(",\n".join(lines))
+                for status, n in Counter(statuses).items():
+                    counts[name, family, status] += n
+    return [text for i in range(len(texts)) for text in texts[i]], counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -689,10 +726,10 @@ class VerificationReport:
 
     def json_chunks(self):
         """The to_json text in pieces, so that a writer never holds all of
-        it: the header up to the results, then one block of rows a piece
-        (a grid block's rows in run_grid's report, kept as text since the
-        run; one row, encoded when asked for, in a report built from its
-        results), then the end."""
+        it: the header up to the results, then one run of rows a piece (up
+        to _PIECE_ROWS rows of one grid block in run_grid's report, kept
+        as text since the run; one row, encoded when asked for, in a
+        report built from its results), then the end."""
         yield f'{_encode(self._header())[:-1]},"results":[\n'
         for i, block in enumerate(self._row_blocks()):
             yield (",\n" if i else "") + block
@@ -719,8 +756,8 @@ class VerificationReport:
 
 class _TextReport(VerificationReport):
     """run_grid's report, built from its slices' shares in grid order:
-    the summed counts give its summary and table, the blocks of row text
-    its rows, and results is decoded from that text, a block at a time,
+    the summed counts give its summary and table, the pieces of row text
+    its rows, and results is decoded from that text, a piece at a time,
     when first read."""
 
     def __init__(self, config: GridConfig, shares):

@@ -772,6 +772,30 @@ class TestRowText:
             info = cache.cache_info()
             assert 0 < 2 * info.currsize <= info.maxsize, (name, info)
 
+    def test_a_group_table_is_bounded(self, monkeypatch):
+        # Catalan at one (family, k) up to n = 50 asks for 51**2 = 2,601
+        # distinct products, more than a group's table may hold: the table
+        # never grows past its bound, and emptying it changes no row
+        sizes = []
+
+        class Recording(verify._Products):
+            def __missing__(self, key):
+                xy = super().__missing__(key)
+                sizes.append(len(self))
+                return xy
+
+        monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
+        monkeypatch.setattr(verify, "_Products", Recording)
+        cfg = GridConfig(ks=(2,), n_max=50, families=(Family.MERSENNE,),
+                         identities=("catalan", "cassini"))
+        bounded = run_grid(cfg)
+        assert not bounded.failed
+        assert max(sizes) == verify._PRODUCTS_MAX == 2048
+        sizes.clear()
+        monkeypatch.setattr(verify, "_PRODUCTS_MAX", 10**6)
+        assert run_grid(cfg).to_json() == bounded.to_json()
+        assert max(sizes) == len(sizes) == 51**2
+
 
 class TestGrid:
     def test_grid_without_points_is_config_error(self):
@@ -1011,6 +1035,27 @@ class TestGrid:
             chunks = list(library.json_chunks())
             assert len(chunks) == len(report.results) + 2
             assert "".join(chunks) == report.to_json()
+
+    def test_a_large_block_is_written_in_pieces(self, monkeypatch):
+        # a block of more than _PIECE_ROWS rows is joined that many rows
+        # at a time, each piece from one block; the default grid's blocks
+        # all fit in one piece
+        cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
+        sizes = [size for name in cfg.identities for _ in cfg.families
+                 for size, *_ in verify._BLOCKS[name](cfg)]
+        default = GridConfig()
+        assert max(size for name in default.identities
+                   for size, *_ in verify._BLOCKS[name](default)) <= verify._PIECE_ROWS == 4096
+        whole = run_grid(cfg).to_json()
+        monkeypatch.setattr(verify, "_PIECE_ROWS", 3)
+        report = run_grid(cfg)
+        _, *pieces, _ = report.json_chunks()
+        assert len(pieces) == sum(-(-size // 3) for size in sizes) > len(sizes)
+        for piece in pieces:
+            rows = verify._decode_rows(piece.removeprefix(",\n"))
+            assert 1 <= len(rows) <= 3
+            assert len({(r.identity, r.family) for r in rows}) == 1
+        assert report.to_json() == whole
 
     def test_report_deterministic(self):
         cfg = GridConfig(ks=(1, 2), n_max=4, ij_max=2)
