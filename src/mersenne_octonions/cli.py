@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
     # only verify needs the verifier and the octonions: seq, oct and bench
     # start without them
     from .octonion import corrupted_basis_table
-    from .verify import _GRIDS, IDENTITIES, ConfigError, GridConfig, run_grid
+    from .verify import IDENTITIES, ConfigError, GridConfig, _first_n, run_grid
 
     ks = _parse_range(args.k, "k", 1)
     ns = _parse_range(args.n, "n", 0)
@@ -165,13 +165,11 @@ def cmd_verify(args) -> int:
         )
         # identities run from their first n (Cassini's is 1) to n_max: N means
         # 0..N, a later start would be dropped, and with no n axis any start
-        # does; each identity's first point holds its smallest n
-        if ".." in args.n and ns.start:
-            firsts = (next(_GRIDS[name](cfg), {}) for name in cfg.identities)
-            first = min((p["n"] for p in firsts if "n" in p), default=ns.start)
-            if ns.start > first:
-                raise ConfigError(f"verify runs n from {first}: give --n N or "
-                                  f"--n {first}..N, not {args.n!r}")
+        # does
+        first = _first_n(cfg.identities)
+        if ".." in args.n and first is not None and ns.start > first:
+            raise ConfigError(f"verify runs n from {first}: give --n N or "
+                              f"--n {first}..N, not {args.n!r}")
         with corrupted_basis_table() if args.corrupt_table else nullcontext():
             report = run_grid(cfg)
     except ConfigError as exc:

@@ -10,8 +10,13 @@ form is computed there and only then dropped to integer coordinates
 by one helper, _exact; a non-integer after reduction means a bug, not
 bad input.  Both alpha and beta have e0 coordinate 1, so coordinate e0
 of the octonion closed form is the scalar Binet form, seq_binet.
-Vajda's right side is 2^n M[k,i] Y_j, with M[k,i] read exactly as an
-L-coordinate and Y_j dropped through _exact like every closed form.
+A family reaches a closed form only through its seeds (x0, x1), as
+x[n] = (A lam1^n - B lam2^n)/(lam1 - lam2) with A = x1 - x0 lam2 and
+B = x1 - x0 lam1, and through c = AB = x1^2 - 3k x0 x1 + 2 x0^2, the
+characteristic form at the seeds: 1 for the Mersenne family, -(9k^2 - 8)
+for the Lucas family (Horadam, Fibonacci Quart. 3, 1965).  Vajda's right
+side is 2^n c M[k,i] Y_j, with M[k,i] read exactly as an L-coordinate
+and Y_j dropped through _exact like every closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 
 from .octonion import Octonion, cd_mul
 from .quadratic import QuadElem, discriminant, lam
-from .sequences import Family, _check_params, decimal_str, seq_window
+from .sequences import Family, _check_params, _initial, decimal_str, seq_window
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -104,43 +109,45 @@ def _lam_pow(k: int, e: int) -> QuadElem:
     return lam(k) ** e
 
 
-def oct_seq_closed(family: Family, k: int, n: int) -> Octonion:
-    """Closed form at the roots of alpha_beta(k):
-    (alpha lam1^n - beta lam2^n)/(lam1 - lam2) for the Mersenne family,
-    alpha lam1^n + beta lam2^n for the Lucas family."""
-    _check_params(k, n)
+# the default grid's 10: one per family and k
+@lru_cache(maxsize=32)
+def _seed_factors(k: int, x0: int, x1: int) -> tuple:
+    """(A (lam1 - lam2), A^2 |alpha|^2, c) at the seeds (x0, x1): the
+    factors of alpha lam1^n in Binet's numerator, taken times lam1 -
+    lam2, and of lam1^(2n) in the norm's, and c as an int.  As B =
+    conj(A) and lam2 - lam1 = conj(lam1 - lam2), the factors of beta
+    lam2^n and of lam2^(2n) there are the first two's conjugates."""
     ab = alpha_beta(k)
-    p1, p2 = ab.powers(n)
-    if Family(family) is Family.MERSENNE:
-        # over lam1 - lam2 as a product with it, then exactly over disc
-        x = (ab.alpha.scale(p1) - ab.beta.scale(p2)).scale(ab.lam1 - ab.lam2)
-        return project_rational(x, ab.disc)
-    return project_rational(ab.alpha.scale(p1) + ab.beta.scale(p2))
+    a = x1 - x0 * ab.lam2
+    return a * (ab.lam1 - ab.lam2), a * a * ab.norms[0], x1 * x1 - 3 * k * x0 * x1 + 2 * x0 * x0
+
+
+def oct_seq_closed(family: Family, k: int, n: int) -> Octonion:
+    """Closed form at the roots of alpha_beta(k) and the family's seeds:
+    (A alpha lam1^n - B beta lam2^n)/(lam1 - lam2), over lam1 - lam2 as
+    a product with it, then exactly over the discriminant."""
+    _check_params(k, n)
+    ab, (a, _, _) = alpha_beta(k), _seed_factors(k, *_initial(family, k))
+    q = a * _lam_pow(k, n)
+    return project_rational(ab.alpha.scale(q) + ab.beta.scale(q.conj()), ab.disc)
 
 
 def seq_binet(family: Family, k: int, n: int) -> int:
     """n-th scalar term by the closed form: coordinate e0 of
-    oct_seq_closed, (lam1^n - lam2^n)/(lam1 - lam2) for the Mersenne
-    family and lam1^n + lam2^n for the Lucas family."""
+    oct_seq_closed, (A lam1^n - B lam2^n)/(lam1 - lam2)."""
     return oct_seq_closed(family, k, n).coords[0]
 
 
 def oct_seq_norm_sq_closed(family: Family, k: int, n: int) -> int:
     """Squared norm by closed form, with |alpha|^2 = sum_r lam1^(2r):
 
-        lam1^(2n) |alpha|^2  +  lam2^(2n) |beta|^2  -+  255 * 2^(n+1),
-
-    minus and divided by 9k^2 - 8 for the Mersenne family, plus and
-    undivided for the Lucas family.
+        (A^2 lam1^(2n) |alpha|^2 + B^2 lam2^(2n) |beta|^2
+         - 255 * 2^(n+1) c) / (9k^2 - 8).
     """
     _check_params(k, n)
-    ab = alpha_beta(k)
-    (p1, p2), (s1, s2) = ab.powers(2 * n), ab.norms
-    val = p1 * s1 + p2 * s2
-    tail = 255 * 2 ** (n + 1)
-    if Family(family) is Family.MERSENNE:
-        return _exact(val - tail, ab.disc)
-    return _exact(val + tail)
+    _, a_norm, c = _seed_factors(k, *_initial(family, k))
+    q = a_norm * _lam_pow(k, 2 * n)
+    return _exact(q + q.conj() - 255 * 2 ** (n + 1) * c, discriminant(k))
 
 
 # the default grid's 250 (k, j, opposite)
@@ -158,9 +165,6 @@ def _vajda_y(k: int, j: int, opposite: bool) -> tuple:
 
 def _vajda_closed(family: Family, k: int, i: int, j: int, opposite: bool) -> tuple:
     """(m, y) with S[n+i]S[n+j] - S[n]S[n+i+j] = 2^n m y, in the opposite
-    algebra if opposite is set: m = M[k,i], the L-coordinate of lam1^i =
-    -2 M[k,i-1] + M[k,i] L, times -(9k^2 - 8) for the Lucas family."""
-    m = _lam_pow(k, i).b
-    if family is Family.MERSENNE_LUCAS:
-        m *= -discriminant(k)
-    return m, _vajda_y(k, j, opposite)
+    algebra if opposite is set: m = c M[k,i], with M[k,i] the L-coordinate
+    of lam1^i = -2 M[k,i-1] + M[k,i] L."""
+    return _lam_pow(k, i).b * _seed_factors(k, *_initial(family, k))[2], _vajda_y(k, j, opposite)

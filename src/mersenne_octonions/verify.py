@@ -26,13 +26,13 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from operator import sub
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .octonion import Octonion, active_basis_table, use_basis_table
 from .oct_sequences import (_vajda_closed, oct_seq, oct_seq_closed, oct_seq_conj,
                             oct_seq_norm_sq_closed)
-from .sequences import Family, _no_digit_limit, decimal_repr, decimal_str
+from .sequences import Family, _initial, _no_digit_limit, decimal_repr, decimal_str
 
 DISCREPANCIES = (
     "conjugate display: the stated conjugates write the real part as the "
@@ -176,49 +176,57 @@ def _check_common(family, k: int, specialized: bool, **counts):
 
 # --- Identity registry ----------------------------------------------
 
-# name -> check_<name>, the library API of each identity
-_CHECKS = {}
-# name -> points(cfg), the check's keyword dicts beyond family on the grid
-_GRIDS = {}
-# name -> blocks(cfg): the identity's grid, one family's, as (size,
-# points, k, rows) blocks in grid order, where points iterates over the
-# block's points, size counts them in closed form, and rows(family,
-# points, table) evaluates any run of them as (status, row text) pairs;
-# a product block takes its products S[a]S[b] at k from table, the
-# _Products that the blocks of one (family, k) share, and any other block
-# has k None and table None
-_BLOCKS = {}
+class _Identity(NamedTuple):
+    """One identity's declaration.  blocks(cfg) is its grid, one
+    family's, as (size, points, k, rows) blocks in grid order, where
+    points iterates over the block's points, size counts them in closed
+    form, and rows(family, points, table) evaluates any run of them as
+    (status, row text) pairs; a product block takes its products S[a]S[b]
+    at k from table, the _Products that the blocks of one (family, k)
+    share, and any other block has k None and table None.  first_n is
+    the smallest n of its points on every grid, None if it has no n
+    axis, and notes maps (family, specialized) to its rows' note there."""
+
+    blocks: Callable
+    first_n: int | None
+    notes: dict
+
+
+# name -> its _Identity, in declaration order, which is the grid's
+_IDENTITIES = {}
 
 _ORDERINGS = ("lr", "rl")
 
 
-def _identity(points, size):
-    """Register the decorated check_<name> as identity <name>, evaluated
+def _identity(points, size, first_n=0):
+    """Declare the decorated check_<name> as identity <name>, evaluated
     a point at a time: one block a family, of the size(cfg) keyword dicts
-    that points(cfg) yields."""
+    that points(cfg) yields; first_n is _Identity's."""
     def register(check):
         name = check.__name__.removeprefix("check_")
-        _CHECKS[name], _GRIDS[name] = check, points
-        _BLOCKS[name] = lambda cfg: [(size(cfg), _GRIDS[name](cfg), None,
-                                      partial(_point_rows, name))]
+        _IDENTITIES[name] = _Identity(
+            lambda cfg: [(size(cfg), points(cfg), None, partial(_point_rows, name))], first_n, {})
         return check
     return register
 
 
 def _point_rows(name, family, points, table):
     """The rows of identity name at points, one check_<name> call each;
-    such a block takes no product from table."""
-    results = (_evaluate_point((name, family, params)) for params in points)
-    return ((r.status, r.to_json()) for r in results)
+    the check is read from the module when the block is evaluated, so
+    that a rebound check_<name> is the one called.  Such a block takes
+    no product from table."""
+    check = globals()[f"check_{name}"]
+    return ((r.status, r.to_json()) for r in (check(family, **params) for params in points))
 
 
-def _product_identity(forms, points, size, largest):
-    """Register the decorated check_<name> as product identity <name>,
+def _product_identity(forms, points, size, largest, first_n=0, notes=()):
+    """Declare the decorated check_<name> as product identity <name>,
     evaluated by _vajda_rows a block (family, k, pass) at a time: in the
     pass (k, n_hi, specialized), forms(k, specialized, points(n_hi,
     ij_max)) maps the block's size(n_hi, ij_max) points onto Vajda's
     identity, the block reads the products at k, and its guard takes
-    largest(n_hi, ij_max) as its counts."""
+    largest(n_hi, ij_max) as its counts; first_n and notes are
+    _Identity's."""
     def register(check):
         name = check.__name__.removeprefix("check_")
 
@@ -226,12 +234,18 @@ def _product_identity(forms, points, size, largest):
             for k, n_hi, sp in _passes(cfg):
                 ij = cfg.ij_max
                 yield (size(n_hi, ij), forms(k, sp, points(n_hi, ij)), k,
-                       partial(_block_rows, name, k, sp, largest(n_hi, ij)))
+                       partial(_vajda_rows, name, k, sp, largest(n_hi, ij)))
 
-        _CHECKS[name], _BLOCKS[name] = check, blocks
-        _GRIDS[name] = lambda cfg: (form[0] for _, block, _, _ in blocks(cfg) for form in block)
+        _IDENTITIES[name] = _Identity(blocks, first_n, dict(notes))
         return check
     return register
+
+
+def _first_n(identities):
+    """The smallest n that any of identities runs from, None if none of
+    them has an n axis: read from their declarations, never walked."""
+    return min((first for name in identities
+                if (first := _IDENTITIES[name].first_n) is not None), default=None)
 
 
 _SPECIALIZED_N_MAX = 20
@@ -282,20 +296,6 @@ def check_norm_closed(family: Family, k: int, n: int) -> CheckResult:
 # Products taken in the reverse order are Vajda's identity in the
 # opposite algebra, where alpha beta and beta alpha trade places.
 
-# the note of a block (identity, family, specialized) that has one
-_NOTES = {
-    ("cassini", Family.MERSENNE_LUCAS, True):
-        "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy",
-}
-
-
-def _block_rows(identity, k, specialized, counts, family, forms, table):
-    """The rows of a product identity's block at forms, after the one
-    guard the block runs, on its largest counts."""
-    _check_common(family, k, specialized, **counts)
-    return _vajda_rows(identity, family, k, specialized, forms, table)
-
-
 # A group's table holds at most this many products and is emptied when a
 # product past it is taken.  The default grid's largest group needs
 # 1,060, so it is never emptied there; an entry's size grows with n, so
@@ -337,15 +337,17 @@ def _vajda_sides(family, k, forms, table):
 
 
 def _note(identity, family, specialized) -> str:
-    return _NOTES.get((identity, family, specialized), "")
+    return _IDENTITIES[identity].notes.get((family, specialized), "")
 
 
-def _vajda_rows(identity, family, k, specialized, forms, table):
+def _vajda_rows(identity, k, specialized, counts, family, forms, table):
     """The rows of product identity at forms, points of its block (family,
     k, specialized), as (status, row text), their sides by _vajda_sides
-    from the group's table.  The row frame and the note are taken once a
-    block: a PASS builds no octonion and is its params in the frame, and
-    only a FAIL builds its CheckResult."""
+    from the group's table, after the one guard the block runs, on its
+    largest counts.  The row frame and the note are taken once a block:
+    a PASS builds no octonion and is its params in the frame, and only a
+    FAIL builds its CheckResult."""
+    _check_common(family, k, specialized, **counts)
     note = _note(identity, family, specialized)
     head, tail = _frame(identity, family, note, Status.PASS)
     for params, lhs, rhs in _vajda_sides(family, k, forms, table):
@@ -401,7 +403,9 @@ def _cassini_forms(k, specialized, points):
 @_product_identity(_cassini_forms,
                    lambda n_hi, ij: ((n, o) for n in range(1, n_hi + 1) for o in _ORDERINGS),
                    lambda n_hi, ij: 2 * n_hi,
-                   lambda n_hi, ij: {"n": n_hi})
+                   lambda n_hi, ij: {"n": n_hi}, first_n=1,
+                   notes={(Family.MERSENNE_LUCAS, True):
+                          "verified with prefactor 2^(n-1); stated 2^n is a known discrepancy"})
 def check_cassini(family: Family, k: int, n: int,
                   ordering: str = "lr", specialized: bool = False) -> CheckResult:
     """The r=1 Catalan case: the left side is computed from the Cassini
@@ -469,7 +473,7 @@ _GENFUNC_TERMS = 32
 
 @_identity(lambda cfg: ({"k": k, "terms": _GENFUNC_TERMS}
                         for k in cfg.ks if k <= _GENFUNC_K_MAX),
-           lambda cfg: sum(k <= _GENFUNC_K_MAX for k in cfg.ks))
+           lambda cfg: sum(k <= _GENFUNC_K_MAX for k in cfg.ks), first_n=None)
 def check_genfunc_ordinary(family: Family, k: int, terms: int) -> CheckResult:
     """Expand (S0 + x(S1 - 3k S0)) / (1 - 3kx + 2x^2) and compare the
     first `terms` coefficients with the sequence octonions.
@@ -508,8 +512,8 @@ def check_finite_sum(family: Family, k: int, n: int,
     nonzero, it is checked multiplied through: 3(1-k) times the sum
     against the formula's numerator.  Both sides stay integers, and a
     FAIL residual is 3(1-k) times the stated form's.  At k=1 the
-    specialized form S[n+1] - (alpha +- n*beta) applies, with alpha and
-    beta at the roots 2, 1: coordinate r of the tail is 2^r +- n.
+    specialized form S[n+1] - tail applies: at the roots 2, 1 and the
+    seeds (x0, x1), coordinate r of the tail is (x1 - x0) 2^r + (x1 - 2x0) n.
     """
     _check_common(family, k, form == "specialized", n=n)
     if form not in ("auto", "general", "specialized"):
@@ -534,14 +538,15 @@ def check_finite_sum(family: Family, k: int, n: int,
             + oct_seq(family, k, 0).scale(1 - 3 * k)
         )
     else:
-        m = n if family is Family.MERSENNE else -n
-        rhs = oct_seq(family, k, n + 1) - Octonion(tuple(2**r + m for r in range(8)))
+        x0, x1 = _initial(family, k)
+        tail = tuple((x1 - x0) * 2**r + (x1 - 2 * x0) * n for r in range(8))
+        rhs = oct_seq(family, k, n + 1) - Octonion(tail)
     return _result("finite_sum", family, params, lhs.coords, rhs.coords)
 
 
 # --- Grid runner ------------------------------------------------------
 
-IDENTITIES = tuple(_CHECKS)
+IDENTITIES = tuple(_IDENTITIES)
 
 BOTH_FAMILIES = (Family.MERSENNE, Family.MERSENNE_LUCAS)
 
@@ -598,17 +603,6 @@ class GridConfig:
             raise ConfigError("ij_max must be >= 0")
 
 
-def _grid_points(cfg: GridConfig):
-    """The (identity, family, params-dict) points, walked in grid order."""
-    return ((name, family, params) for name in cfg.identities
-            for family in cfg.families for params in _GRIDS[name](cfg))
-
-
-def _evaluate_point(point):
-    identity, family, params = point
-    return _CHECKS[identity](family, **params)
-
-
 # a refused grid is counted, never walked: 276 times the default grid
 _GRID_MAX = 10**7
 
@@ -616,7 +610,7 @@ _GRID_MAX = 10**7
 def _grid_size(cfg: GridConfig) -> int:
     """The number of grid points, summed over the blocks' closed forms."""
     return sum(size for name in cfg.identities for _ in cfg.families
-               for size, *_ in _BLOCKS[name](cfg))
+               for size, *_ in _IDENTITIES[name].blocks(cfg))
 
 
 def _rows(cfg: GridConfig, lo: int, hi: int):
@@ -627,7 +621,7 @@ def _rows(cfg: GridConfig, lo: int, hi: int):
     start = 0
     for name in cfg.identities:
         for family in cfg.families:
-            for size, points, k, rows in _BLOCKS[name](cfg):
+            for size, points, k, rows in _IDENTITIES[name].blocks(cfg):
                 if max(lo, start) < min(hi, start + size):
                     yield name, family, k, islice(points, max(lo - start, 0), hi - start), rows
                 start += size

@@ -220,14 +220,15 @@ class TestVerify:
         # a range's end is read, not walked
         code, out, _ = run_cli(capsys, *genfunc, "--n", f"0..{sys.maxsize}")
         assert code == 0 and json.loads(out)["config"]["n_max"] == sys.maxsize
-        # a late start is refused from each identity's first point, so
-        # however wide the range, the whole grid is never built
+        # a late start is refused from each identity's declared first n,
+        # so however wide the range, no block of the grid is built
         from mersenne_octonions import verify
 
         def whole_grid(cfg):
-            raise AssertionError("the whole grid was built")
+            raise AssertionError("a block of the grid was built")
 
-        monkeypatch.setattr(verify, "_grid_points", whole_grid)
+        for name, entry in verify._IDENTITIES.items():
+            monkeypatch.setitem(verify._IDENTITIES, name, entry._replace(blocks=whole_grid))
         for argv in ([*args, "--n", "5..6"], [*args, "--n", "1..6"],
                      [*args, "--n", f"1..{sys.maxsize}"], [*cassini, "--n", "5..24"]):
             code, out, err = run_cli(capsys, *argv)

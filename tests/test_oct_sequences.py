@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mersenne_octonions import oct_sequences
+from mersenne_octonions import oct_sequences, verify
 from mersenne_octonions.octonion import Octonion, cd_mul
 from mersenne_octonions.oct_sequences import (
     InternalInconsistencyError,
+    _vajda_closed,
     alpha_beta,
     oct_seq,
     oct_seq_closed,
@@ -232,3 +234,44 @@ class TestExactIntegerResults:
         norm = oct_seq_norm_sq_closed(family, k, n)
         assert type(norm) is int
         assert norm == oct_seq(family, k, n).norm_sq()
+
+
+class TestAnySeeds:
+    """A family reaches the right sides only through its seeds (x0, x1)
+    and c = x1^2 - 3k x0 x1 + 2 x0^2: with the seeds replaced by any
+    integers, each right side equals a run of the recurrence from them."""
+
+    @staticmethod
+    def _run(x0, x1, k, length):
+        x = [x0, x1]
+        while len(x) < length:
+            x.append(3 * k * x[-1] - 2 * x[-2])
+        return x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 6), st.integers(0, 12),
+           st.integers(0, 4), st.integers(0, 4), st.booleans())
+    def test_binet_norm_and_vajda(self, x0, x1, k, n, i, j, opposite):
+        x = self._run(x0, x1, k, n + i + j + 8)
+        S = [Octonion(tuple(x[m:m + 8])) for m in range(n + i + j + 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oct_sequences, "_initial", lambda family, k: (x0, x1))
+            assert oct_seq_closed(M, k, n) == S[n]
+            assert oct_seq_norm_sq_closed(M, k, n) == sum(c * c for c in x[n:n + 8])
+            m, y = _vajda_closed(M, k, i, j, opposite)
+        # the opposite algebra takes its products reversed
+        mul = (lambda a, b: b * a) if opposite else (lambda a, b: a * b)
+        lhs = mul(S[n + i], S[n + j]) - mul(S[n], S[n + i + j])
+        assert lhs.coords == tuple(2**n * m * c for c in y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 30))
+    def test_k1_finite_sum_tail(self, x0, x1, n):
+        # the sum of S[0..n] is S[n+1] minus the tail, both sides taken
+        # from the run here
+        x = self._run(x0, x1, 1, n + 9)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_initial", lambda family, k: (x0, x1))
+            mp.setattr(verify, "oct_seq", lambda family, k, m: Octonion(tuple(x[m:m + 8])))
+            result = verify.check_finite_sum(M, 1, n, "specialized")
+        assert result.status is verify.Status.PASS, result

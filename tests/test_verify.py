@@ -69,6 +69,17 @@ _fields = {
 }
 
 
+def _grid_points(cfg):
+    """The (identity, family, params) points of cfg's grid in grid order,
+    walked over the blocks of verify's identity table; a product block's
+    points are its forms, each led by its params."""
+    for name in cfg.identities:
+        for family in cfg.families:
+            for _, points, k, _ in verify._IDENTITIES[name].blocks(cfg):
+                for point in points:
+                    yield name, family, point if k is None else point[0]
+
+
 class TestCatalan:
     def test_spot_pass(self):
         assert check_catalan(M, 1, 2, 1, "lr").status is Status.PASS
@@ -478,7 +489,7 @@ class TestRightSideCores:
         # (1, |n - r|) and Vajda (i, j); Catalan and Cassini take their
         # products reversed in "lr", d'Ocagne when r > n
         keys = set()
-        for name, family, p in verify._grid_points(GridConfig()):
+        for name, family, p in _grid_points(GridConfig()):
             k = p["k"]
             if name == "catalan":
                 keys.add((k, p["r"], p["ordering"] == "lr"))
@@ -503,7 +514,7 @@ class TestRightSideCores:
 
         monkeypatch.setattr(Octonion, "__mul__", counting)
         bounded = [oct_sequences.oct_seq, oct_sequences._lam_pow, oct_sequences.alpha_beta,
-                   oct_sequences._vajda_y]
+                   oct_sequences._vajda_y, oct_sequences._seed_factors]
         needed = [0] * len(bounded)
         for cfg in (GridConfig(), GridConfig(ks=(1, 2), n_max=120,
                                              identities=("binet", "norm_closed", "cassini"))):
@@ -526,8 +537,9 @@ class TestRightSideCores:
         with corrupted_basis_table():
             assert run_grid().failed
         assert products["mul"] == 10_850
-        # alpha_beta: one per k; _vajda_y: the 250 keys derived above
-        assert needed == [490, 362, 5, 250]
+        # alpha_beta: one per k; _vajda_y: the 250 keys derived above;
+        # _seed_factors: one per family and k
+        assert needed == [490, 362, 5, 250, 10]
         for cache, n in zip(bounded, needed):
             assert cache.cache_info().maxsize >= 2 * n
         # oct_seq caches the same keys, so seq_window's own cache only missed
@@ -626,7 +638,7 @@ class TestCorruptedTable:
         # each of the 64 sign flips and each of the 8 * 28 swaps of two
         # indices within a row (a single redirected index does not compile)
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
-        assert len(list(verify._grid_points(cfg))) == 380
+        assert len(list(_grid_points(cfg))) == 380
         expected = {(name, sp) for name in ("catalan", "cassini", "docagne", "vajda")
                     for sp in (False, True)} | {("norm_closed", None)}
         mutants = [(corrupted_basis_table, (i, j)) for i in range(8) for j in range(8)]
@@ -763,7 +775,7 @@ class TestRowText:
         for name, cache in caches.items():
             assert cache.cache_info().maxsize is not None, name
         assert sorted(name.rsplit(".", 1)[1] for name in caches) == [
-            "_frame", "_lam_pow", "_vajda_y", "alpha_beta", "oct_seq"]
+            "_frame", "_lam_pow", "_seed_factors", "_vajda_y", "alpha_beta", "oct_seq"]
         monkeypatch.delenv("MERSOCT_MAX_WORKERS", raising=False)
         for cache in caches.values():
             cache.cache_clear()
@@ -835,7 +847,7 @@ class TestGrid:
             "norm_closed": (138, 24, 16), "vajda": (1620, 288, 216),
         }
         for col, cfg in enumerate((b, c, d)):
-            counts = collections.Counter(name for name, _, _ in verify._grid_points(cfg))
+            counts = collections.Counter(name for name, _, _ in _grid_points(cfg))
             assert counts == {name: n[col] for name, n in expected.items()}
         assert [sum(n[col] for n in expected.values()) for col in range(3)] == [8824, 866, 648]
         for cfg in (b, c, d):
@@ -845,14 +857,30 @@ class TestGrid:
     def _assert_sizes_are_the_walked_counts(cfg):
         # each block's closed-form size is the number of points it walks
         for name in cfg.identities:
-            for size, points, *_ in verify._BLOCKS[name](cfg):
+            for size, points, *_ in verify._IDENTITIES[name].blocks(cfg):
                 assert size == sum(1 for _ in points)
-        assert verify._grid_size(cfg) == sum(1 for _ in verify._grid_points(cfg))
+        assert verify._grid_size(cfg) == sum(1 for _ in _grid_points(cfg))
 
     @settings(max_examples=100, deadline=None)
     @given(st.fixed_dictionaries(_fields))
     def test_grid_size_is_the_walked_count(self, fields):
         self._assert_sizes_are_the_walked_counts(GridConfig(**fields))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries(_fields))
+    def test_first_n_is_the_smallest_walked_n(self, fields):
+        # each identity declares the smallest n its blocks yield, None
+        # with no n axis, and _first_n, which the CLI's late-start
+        # refusal reads, is their least over the selection
+        cfg = GridConfig(**fields)
+
+        def smallest_n(cfg):
+            return min((p["n"] for _, _, p in _grid_points(cfg) if "n" in p), default=None)
+
+        for name in IDENTITIES:
+            one = dataclasses.replace(cfg, identities=(name,))
+            assert verify._IDENTITIES[name].first_n == smallest_n(one), name
+        assert verify._first_n(cfg.identities) == smallest_n(cfg)
 
     def test_grid_over_the_cap_is_refused_unevaluated(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -886,11 +914,15 @@ class TestGrid:
         whole = run_grid(cfg).results
         size = len(whole)
         evaluated = []
-        vajda_rows, evaluate = verify._vajda_rows, verify._evaluate_point
+        vajda_rows = verify._vajda_rows
 
-        def recording(identity, family, k, specialized, forms, table):
+        def recording(*args):
+            *block, forms, table = args
             forms = (evaluated.append(form[0]) or form for form in forms)
-            return vajda_rows(identity, family, k, specialized, forms, table)
+            return vajda_rows(*block, forms, table)
+
+        def counting(check):
+            return lambda family, **params: evaluated.append(params) or check(family, **params)
 
         def points(params):
             # a product block groups its points by (family, k), so they
@@ -898,8 +930,11 @@ class TestGrid:
             return collections.Counter(tuple(sorted(p.items())) for p in params)
 
         monkeypatch.setattr(verify, "_vajda_rows", recording)
-        monkeypatch.setattr(verify, "_evaluate_point",
-                            lambda point: evaluated.append(point[2]) or evaluate(point))
+        # every check is counted, so that a product point evaluated by its
+        # check as well as by its block would be counted twice
+        for name in IDENTITIES:
+            check = getattr(verify, f"check_{name}")
+            monkeypatch.setattr(verify, f"check_{name}", counting(check))
         for cut in range(size + 1):
             for lo, hi in ((0, cut), (cut, size)):
                 evaluated.clear()
@@ -943,8 +978,8 @@ class TestGrid:
                              (TestCorruptedTable._index_swapped(3, 2, 5), True)):
             with table:
                 report = run_grid(cfg)
-                checks = [verify._CHECKS[name](family, **params)
-                          for name, family, params in verify._grid_points(cfg)]
+                checks = [getattr(verify, f"check_{name}")(family, **params)
+                          for name, family, params in _grid_points(cfg)]
             assert report.results == tuple(checks)
             assert (report.summary["FAIL"] > 0) is fails
 
@@ -985,19 +1020,18 @@ class TestGrid:
         # each point's row exists before the next point is generated, so
         # a serial run never holds the grid's point list
         seen, evaluated = [], []
-        points, evaluate = verify._GRIDS["binet"], verify._evaluate_point
+        binet, check = verify._IDENTITIES["binet"], verify.check_binet
 
         def recording(cfg):
-            for params in points(cfg):
-                seen.append(len(evaluated))
-                yield params
+            for size, points, k, rows in binet.blocks(cfg):
+                yield size, (seen.append(len(evaluated)) or params for params in points), k, rows
 
-        def counting(point):
-            evaluated.append(point)
-            return evaluate(point)
+        def counting(family, **params):
+            evaluated.append(params)
+            return check(family, **params)
 
-        monkeypatch.setitem(verify._GRIDS, "binet", recording)
-        monkeypatch.setattr(verify, "_evaluate_point", counting)
+        monkeypatch.setitem(verify._IDENTITIES, "binet", binet._replace(blocks=recording))
+        monkeypatch.setattr(verify, "check_binet", counting)
         monkeypatch.setenv("MERSOCT_MAX_WORKERS", "1")
         report = run_grid(GridConfig(ks=(2,), n_max=3, families=(M,), identities=("binet",)))
         assert len(report.results) == 4
@@ -1023,7 +1057,7 @@ class TestGrid:
             header, *blocks, end = chunks = list(report.json_chunks())
             assert header.endswith('"results":[\n') and end == "\n]}\n"
             assert len(blocks) == sum(size > 0 for name in cfg.identities for _ in cfg.families
-                                      for size, *_ in verify._BLOCKS[name](cfg))
+                                      for size, *_ in verify._IDENTITIES[name].blocks(cfg))
             rows = [verify._decode_rows(block.removeprefix(",\n")) for block in blocks]
             assert sum(rows, ()) == report.results
             for block in rows:
@@ -1042,10 +1076,10 @@ class TestGrid:
         # all fit in one piece
         cfg = GridConfig(ks=(1, 2), n_max=3, ij_max=1)
         sizes = [size for name in cfg.identities for _ in cfg.families
-                 for size, *_ in verify._BLOCKS[name](cfg)]
+                 for size, *_ in verify._IDENTITIES[name].blocks(cfg)]
         default = GridConfig()
         assert max(size for name in default.identities
-                   for size, *_ in verify._BLOCKS[name](default)) <= verify._PIECE_ROWS == 4096
+                   for size, *_ in verify._IDENTITIES[name].blocks(default)) <= verify._PIECE_ROWS == 4096
         whole = run_grid(cfg).to_json()
         monkeypatch.setattr(verify, "_PIECE_ROWS", 3)
         report = run_grid(cfg)
@@ -1072,8 +1106,10 @@ class TestGrid:
             from mersenne_octonions import verify
             from mersenne_octonions.verify import GridConfig, ParamError, run_grid
 
-            for name, check in verify._CHECKS.items():
-                params = next(iter(verify._GRIDS[name](GridConfig(ks=(2,)))))
+            for name, entry in verify._IDENTITIES.items():
+                check = getattr(verify, f"check_{name}")
+                _, points, k, _ = next(iter(entry.blocks(GridConfig(ks=(2,)))))
+                params = next(iter(points)) if k is None else next(iter(points))[0]
                 try:
                     check("mersenne", **params)
                 except ParamError as exc:
@@ -1112,7 +1148,7 @@ class TestGrid:
               and r["family"] == "mersenne" and r["params"]["k"] == 2]
         assert ns.index(2) < ns.index(10)
         assert [(r["identity"], r["family"], r["params"]) for r in rows] == [
-            (name, family.value, params) for name, family, params in verify._grid_points(cfg)]
+            (name, family.value, params) for name, family, params in _grid_points(cfg)]
         # a FAIL row keeps its 8 residual coordinates
         with corrupted_basis_table():
             doc = json.loads(run_grid(GridConfig(ks=(2,), n_max=3, identities=("cassini",)))
